@@ -46,6 +46,10 @@ func TestAnalyzers(t *testing.T) {
 		// the global rand source.
 		{"nondeterminism/queue-scoped", Nondeterminism, "nondet", "coreda/internal/queue", false, nil},
 		{"nondeterminism/notify-scoped", Nondeterminism, "nondet", "coreda/internal/notify", false, nil},
+		// rand.NewSource is the slow stdlib seeder sim.RNG replaces:
+		// flagged in scoped packages, allowed only in internal/sim.
+		{"nondeterminism/newsource", Nondeterminism, "nondet_source", "coreda/internal/fleet", false, nil},
+		{"nondeterminism/newsource-sim-allowed", Nondeterminism, "nondet_source", "coreda/internal/sim", true, nil},
 		{"rewardconst", RewardConst, "rewardconst", "coreda/internal/experiments", false, nil},
 		{"rewardconst/core-canonical", RewardConst, "rewardcore", "coreda/internal/core", true, nil},
 		{"schedonly", SchedOnly, "schedonly", "coreda/internal/core", false, nil},

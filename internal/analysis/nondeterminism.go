@@ -43,6 +43,10 @@ var simScoped = []string{
 	"coreda/internal/notify",
 }
 
+// simPackage owns the ported math/rand source behind sim.RNG; it is the
+// one scoped package that may still name rand.NewSource.
+const simPackage = "coreda/internal/sim"
+
 // wallClockFuncs are the time package entry points that read or depend on
 // the wall clock. Types and pure conversions (time.Duration,
 // time.ParseDuration, ...) stay legal.
@@ -61,19 +65,24 @@ var wallClockFuncs = map[string]bool{
 // allowedRandNames are the math/rand selectors that do not draw from the
 // global source: constructors of explicitly seeded generators, and type
 // names (*rand.Rand in signatures is exactly how seeded randomness is
-// plumbed).
+// plumbed). NewSource is judged separately (see runNondeterminism).
 var allowedRandNames = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"Rand":      true,
-	"Source":    true,
-	"Source64":  true,
-	"Zipf":      true,
+	"New":      true,
+	"NewZipf":  true,
+	"Rand":     true,
+	"Source":   true,
+	"Source64": true,
+	"Zipf":     true,
 }
 
 // Nondeterminism flags wall-clock time, global-source randomness and
 // sync.Pool buffer reuse in simulation-facing packages.
+//
+// rand.NewSource is flagged everywhere in scope except internal/sim.
+// It is deterministic, but its seeder costs about three times sim.RNG's
+// port of the same generator (DESIGN.md §18), and a scoped package that
+// seeds its own source sits on a household admission path or soon will.
+// sim.RNG draws the identical sequence, so there is no reason to call it.
 //
 // sync.Pool is in the forbidden set because which pooled object a Get
 // returns depends on GC timing and goroutine scheduling: harmless for
@@ -86,7 +95,7 @@ var allowedRandNames = map[string]bool{
 // reuse cannot be observed.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
-	Doc:  "forbid time.Now/Sleep/..., global rand.* and sync.Pool in simulation-facing packages",
+	Doc:  "forbid time.Now/Sleep/..., global rand.*, rand.NewSource outside internal/sim and sync.Pool in simulation-facing packages",
 	Run:  runNondeterminism,
 }
 
@@ -118,6 +127,10 @@ func runNondeterminism(p *Pass) {
 			switch {
 			case timeImported && ident.Name == timeName && wallClockFuncs[sel.Sel.Name]:
 				p.Reportf(sel.Pos(), "time.%s reads the wall clock: simulation code must take time from sim.Scheduler", sel.Sel.Name)
+			case randImported && ident.Name == randName && sel.Sel.Name == "NewSource":
+				if p.ImportPath != simPackage {
+					p.Reportf(sel.Pos(), "rand.NewSource runs math/rand's slow seeder: use sim.RNG")
+				}
 			case randImported && ident.Name == randName && !allowedRandNames[sel.Sel.Name]:
 				p.Reportf(sel.Pos(), "global rand.%s: all randomness must flow through a seeded *rand.Rand (use sim.RNG)", sel.Sel.Name)
 			case syncImported && ident.Name == syncName && sel.Sel.Name == "Pool":

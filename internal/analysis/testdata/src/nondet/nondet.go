@@ -28,9 +28,10 @@ func roll() float64 {
 	return rand.Float64() // want `global rand\.Float64`
 }
 
-// Seeded construction and *rand.Rand plumbing are the sanctioned pattern.
-func seeded(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// Wrapping a caller's seeded source and *rand.Rand plumbing are the
+// sanctioned pattern (rand.NewSource has its own fixture, nondet_source).
+func seeded(src rand.Source) *rand.Rand {
+	return rand.New(src)
 }
 
 // Pure duration arithmetic never touches the wall clock.

@@ -214,6 +214,16 @@ func (srv *Server) Serve(l net.Listener) error {
 func (srv *Server) HandleConn(conn net.Conn) {
 	nc := &fleetConn{c: conn, timeout: srv.cfg.WriteTimeout, w: wire.NewWriter(conn)}
 	srv.mu.Lock()
+	// Stop closes done before it takes mu to close every registered
+	// connection, so a connection registering after that sweep would
+	// never be closed and would block in ReadFrame forever.
+	select {
+	case <-srv.done:
+		srv.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	srv.all[nc] = struct{}{}
 	srv.mu.Unlock()
 	defer func() {

@@ -74,6 +74,39 @@ func startServer(t *testing.T, fcfg Config, scfg ServeConfig) (*Fleet, *Server, 
 	return f, srv, l.Addr().String()
 }
 
+// TestHandleConnAfterStopReturns pins the register-after-Stop race
+// deterministically: a connection handed to HandleConn once Stop has
+// swept the connection set must be closed and the handler must return,
+// instead of registering where nothing will ever close it and blocking
+// in ReadFrame forever.
+func TestHandleConnAfterStopReturns(t *testing.T) {
+	f, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(f, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	srv.Stop()
+	server, client := net.Pipe()
+	defer client.Close()
+	returned := make(chan struct{})
+	go func() {
+		srv.HandleConn(server)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleConn after Stop did not return")
+	}
+	if _, err := client.Read(make([]byte, 1)); err == nil {
+		t.Error("connection handed in after Stop was left open")
+	}
+}
+
 // TestServeRoutesByHello pins the versioned household handshake: two
 // nodes greeting as different households must land in different tenants,
 // and each usage report must be acked.

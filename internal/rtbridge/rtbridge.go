@@ -367,6 +367,16 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) HandleConn(conn net.Conn) {
 	nc := &nodeConn{c: conn, timeout: s.cfg.WriteTimeout, w: wire.NewWriter(conn)}
 	s.mu.Lock()
+	// Stop closes done before it takes mu to close every registered
+	// connection, so a connection registering after that sweep would
+	// never be closed and would block in ReadFrame forever.
+	select {
+	case <-s.done:
+		s.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	s.all[nc] = struct{}{}
 	s.mu.Unlock()
 	defer func() {

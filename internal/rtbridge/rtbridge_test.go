@@ -252,6 +252,34 @@ func TestServerStopClosesConnections(t *testing.T) {
 	}
 }
 
+// TestHandleConnAfterStopReturns pins the register-after-Stop race
+// deterministically: a connection handed to HandleConn once Stop has
+// swept the connection set must be closed and the handler must return,
+// instead of registering where nothing will ever close it and blocking
+// in ReadFrame forever.
+func TestHandleConnAfterStopReturns(t *testing.T) {
+	srv, err := NewServer(ServerConfig{System: coreda.SystemConfig{Activity: coreda.TeaMaking()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Stop()
+	server, client := net.Pipe()
+	defer client.Close()
+	returned := make(chan struct{})
+	go func() {
+		srv.HandleConn(server)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleConn after Stop did not return")
+	}
+	if _, err := client.Read(make([]byte, 1)); err == nil {
+		t.Error("connection handed in after Stop was left open")
+	}
+}
+
 func TestMultiActivityServerRoutesByTool(t *testing.T) {
 	var mu sync.Mutex
 	completions := map[string]int{}

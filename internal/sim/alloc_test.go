@@ -106,3 +106,17 @@ func TestPendingAllocFreeAndO1(t *testing.T) {
 		t.Errorf("Pending after Run = %d, want 0", got)
 	}
 }
+
+// TestRNGAllocBudget caps a stream derivation at the two objects it must
+// return: the source and the Rand around it. The seed hash runs over a
+// stack buffer, so admission pays for no formatting or hasher garbage.
+func TestRNGAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		_ = RNG(-9223372036854775808, "fleet/soak/h00042")
+	}); got > 2 {
+		t.Errorf("RNG allocates %.1f/op, want at most 2 (source + Rand)", got)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -57,3 +58,15 @@ func BenchmarkSchedulerCancelChurn(b *testing.B) {
 		s.Step()
 	}
 }
+
+// BenchmarkRNG measures deriving one seeded stream — the cost every
+// household admission pays for its planner's randomness. Seeding the
+// 607-word register dominates.
+func BenchmarkRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rngSink = RNG(int64(i), "planner")
+	}
+}
+
+var rngSink *rand.Rand

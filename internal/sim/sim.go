@@ -17,8 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -390,15 +388,6 @@ func (s *Scheduler) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
 	s.heap[i].index = int32(i)
 	s.heap[j].index = int32(j)
-}
-
-// RNG derives an independent random stream from a master seed and a stream
-// name. Distinct names yield decorrelated streams, so adding a new
-// consumer of randomness does not perturb existing ones.
-func RNG(seed int64, stream string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, stream)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
 // TimelineEntry is one recorded event of a simulated session.

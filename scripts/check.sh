@@ -43,11 +43,20 @@ go run ./cmd/coreda-vet -only hotalloc ./...
 # Advance parity gate: the due-time tenant index must be observationally
 # equivalent to the pre-index full sweep — identical digests at 1/4/8
 # shards (TestAdvanceParity) and identical late-event clamping via the
-# lazy tick floor (TestLateEventAfterTickParity). The differential test
-# pins the scheduler itself against a naive reference implementation.
-echo "== advance parity (indexed vs sweep, race-enabled)"
+# lazy tick floor (TestLateEventAfterTickParity). The differential tests
+# pin the scheduler against a naive reference implementation, and
+# sim.RNG's ported source against math/rand's own seeded source (every
+# draw method, edge and random seeds, the multiply-and-fold seeding step
+# against Schrage's, and the stream-seed derivation).
+echo "== advance + RNG parity (indexed vs sweep, port vs stdlib, race-enabled)"
 go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|TestDueHeap' ./internal/fleet/
-go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference' ./internal/sim/
+go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference|TestRNGSourceMatchesStdlib|TestMulMod31MatchesSchrage|TestRNGDerivationUnchanged' ./internal/sim/
+
+# Stop-race gate: a connection handed to either TCP server after Stop
+# must be closed, not registered past Stop's sweep and left blocking in
+# ReadFrame. Repeated because the race it pins was intermittent.
+echo "== server stop (HandleConn after Stop, race-enabled, x10)"
+go test -race -count 10 -run 'TestHandleConnAfterStopReturns|TestServerStopClosesConnections' ./internal/rtbridge/ ./internal/fleet/
 
 echo "== chaos soak (workers 1 vs 4 must match)"
 go run ./cmd/coreda-bench -workers 1 chaos > /tmp/coreda-soak-w1.txt
@@ -67,6 +76,19 @@ for n in 1 4 8; do
 done
 diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s4.txt
 diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s8.txt
+
+# Golden digest gate: the runs above agreeing with each other cannot
+# catch a change that drifts every shard count the same way, so the
+# digest itself is pinned (internal/fleet's TestSoakGoldenDigest holds
+# the same value).
+golden=5abb840bf67e8c5688f5f0a21a673a73a666e877bef18e8016ef0cb5d84c7867
+for n in 1 4 8; do
+    if ! grep -q "policy digest  $golden\$" "/tmp/coreda-fleet-s$n.txt"; then
+        echo "fleet soak at $n shards drifted from the golden digest $golden:" >&2
+        cat "/tmp/coreda-fleet-s$n.txt" >&2
+        exit 1
+    fi
+done
 
 # Storage-format parity gate: the same soak with JSON checkpoints must
 # produce the same stdout — including the policy digest, which decodes
