@@ -8,6 +8,7 @@ import (
 
 	"coreda"
 	"coreda/internal/adl"
+	"coreda/internal/store"
 	"coreda/internal/testutil"
 )
 
@@ -128,5 +129,68 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	t.Logf("advance tick: %.4f mallocs/tick over %d ticks, %d idle tenants", perTick, ticks, resident)
 	if perTick > budget {
 		t.Errorf("advance tick allocates %.4f mallocs/tick over %d ticks, budget %.2f", perTick, ticks, budget)
+	}
+}
+
+// TestTenantResidentAllocBudget caps what a resident household costs in
+// live heap: 2,000 soak households, each admitted and driven through two
+// tea-making sessions over an in-memory checkpoint backend, must hold at
+// most 9 KiB apiece once garbage is collected. A soak household makes
+// only a handful of planner draws by then, so its RNG stream must still
+// be lazy (no 4.9 KB register), and nothing else may creep back.
+func TestTenantResidentAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const (
+		households = 2000
+		budget     = 9 << 10
+	)
+	soak := SoakConfig{Seed: 7}
+	streams := make([][]Event, households)
+	for i := range streams {
+		sessions := SoakSessions(soak, SoakHousehold(i))
+		streams[i] = append(sessions[0], sessions[1]...)
+	}
+	f, err := New(Config{
+		Backend:   store.NewMemBackend(),
+		IdleEvict: 10 * time.Minute,
+		NewSystem: func(household string) (coreda.SystemConfig, error) {
+			return coreda.SystemConfig{
+				Activity: adl.TeaMaking(),
+				UserName: household,
+				Seed:     SeedFor(soak.Seed, household),
+			}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := live()
+	for k := range streams[0] {
+		for _, s := range streams {
+			if err := f.Deliver(s[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resident := f.Stats().Resident // shard barrier: every event is applied
+	heap := live()
+	if resident != households {
+		t.Fatalf("%d households resident, want %d", resident, households)
+	}
+	perHousehold := (float64(heap) - float64(base)) / households
+	t.Logf("resident household: %.0f B of live heap", perHousehold)
+	if perHousehold > budget {
+		t.Errorf("resident household holds %.0f B of live heap, budget %d B", perHousehold, budget)
 	}
 }

@@ -78,6 +78,13 @@ func (n *NodeClient) SetReadTimeout(d time.Duration) {
 	n.wm.Lock()
 	n.timeout = d
 	n.wm.Unlock()
+	// The reader loop arms each read's deadline before the read starts,
+	// so a read already waiting would never see this timeout: arm it too.
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	n.conn.SetReadDeadline(deadline)
 }
 
 // Close shuts the connection down.

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"coreda/internal/testutil"
 )
@@ -107,8 +110,8 @@ func TestPendingAllocFreeAndO1(t *testing.T) {
 	}
 }
 
-// TestRNGAllocBudget caps a stream derivation at the two objects it must
-// return: the source and the Rand around it. The seed hash runs over a
+// TestRNGAllocBudget caps a stream derivation at the one object it must
+// return, which holds the Rand and its source. The seed hash runs over a
 // stack buffer, so admission pays for no formatting or hasher garbage.
 func TestRNGAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -116,7 +119,67 @@ func TestRNGAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		_ = RNG(-9223372036854775808, "fleet/soak/h00042")
-	}); got > 2 {
-		t.Errorf("RNG allocates %.1f/op, want at most 2 (source + Rand)", got)
+	}); got > 1 {
+		t.Errorf("RNG allocates %.1f/op, want at most 1 (the Rand and its source)", got)
+	}
+}
+
+// heapPerRun runs f n times and returns the mallocs and bytes it
+// allocated per run.
+func heapPerRun(n int, f func()) (mallocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestRNGLazyAlloc pins when a stream pays for its register. A stream
+// that stops within the lazy window (draws 0..272) costs the source and
+// the Rand alone; draw 273 builds the 607-word register, once, and a
+// reseeded source reuses it. Counts are averaged over many streams, so
+// a stray runtime allocation cannot tip them.
+func TestRNGLazyAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const runs = 200
+	stream := func(draws int) func() {
+		return func() {
+			r := RNG(42, "fleet/soak/h00042")
+			for i := 0; i < draws; i++ {
+				r.Int63()
+			}
+		}
+	}
+	lazyObjs, lazyBytes := heapPerRun(runs, stream(rngTap))
+	if lazyObjs > 2 || lazyBytes > 128 {
+		t.Errorf("RNG + %d draws allocates %.2f objects, %.0f B per stream; want at most 2 objects, 128 B", rngTap, lazyObjs, lazyBytes)
+	}
+
+	objs, bytes := heapPerRun(runs, stream(rngTap+1))
+	regBytes := float64(unsafe.Sizeof([rngLen]int64{}))
+	// The 10% slack absorbs a stray runtime allocation in either window.
+	if n, b := math.Round(objs-lazyObjs), bytes-lazyBytes; n != 1 || b < 0.9*regBytes || b > 1.1*regBytes {
+		t.Errorf("draw %d allocates %.2f objects, %.0f B per stream; want the register alone (1 object, %.0f B)", rngTap, objs-lazyObjs, b, regBytes)
+	}
+
+	r := RNG(42, "fleet/soak/h00042")
+	for i := 0; i <= rngTap; i++ {
+		r.Int63() // the last draw builds the register
+	}
+	var seed int64
+	objs, _ = heapPerRun(runs, func() {
+		seed++
+		r.Seed(seed)
+		for i := 0; i < 2*rngLen; i++ {
+			r.Int63()
+		}
+	})
+	if objs >= 0.5 {
+		t.Errorf("a reseeded stream drawn past its window allocates %.2f objects, want 0", objs)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -59,14 +60,27 @@ func BenchmarkSchedulerCancelChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkRNG measures deriving one seeded stream — the cost every
-// household admission pays for its planner's randomness. Seeding the
-// 607-word register dominates.
+// BenchmarkRNG measures deriving one seeded stream and drawing from it.
+// The 0-draw row is what every household admission pays for its
+// planner's randomness; 20 draws is a churned household's whole life
+// between admission and eviction; 2000 draws runs far past the lazy
+// window, so it pays for building the register as well.
 func BenchmarkRNG(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rngSink = RNG(int64(i), "planner")
+	for _, draws := range []int{0, 20, 2000} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := RNG(int64(i), "planner")
+				for j := 0; j < draws; j++ {
+					int63Sink += r.Int63()
+				}
+				rngSink = r
+			}
+		})
 	}
 }
 
-var rngSink *rand.Rand
+var (
+	rngSink   *rand.Rand
+	int63Sink int64
+)

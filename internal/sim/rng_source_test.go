@@ -150,3 +150,90 @@ func TestRNGDerivationUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// lazyMethods drive every *rand.Rand method across a stopping point, a
+// few calls each, so a boundary inside a multi-draw method (Perm, a
+// rejected Int31n, Read's 7-byte chunks) is crossed mid-call too.
+var lazyMethods = []struct {
+	name string
+	call func(r *rand.Rand) any
+}{
+	{"Int63", func(r *rand.Rand) any { return r.Int63() }},
+	{"Uint32", func(r *rand.Rand) any { return r.Uint32() }},
+	{"Uint64", func(r *rand.Rand) any { return r.Uint64() }},
+	{"Int31", func(r *rand.Rand) any { return r.Int31() }},
+	{"Int", func(r *rand.Rand) any { return r.Int() }},
+	{"Int63n", func(r *rand.Rand) any { return r.Int63n(1<<62 + 1) }},
+	{"Int31n", func(r *rand.Rand) any { return r.Int31n(1<<30 + 1) }},
+	{"Intn", func(r *rand.Rand) any { return r.Intn(1000) }},
+	{"Float64", func(r *rand.Rand) any { return r.Float64() }},
+	{"Float32", func(r *rand.Rand) any { return r.Float32() }},
+	{"NormFloat64", func(r *rand.Rand) any { return r.NormFloat64() }},
+	{"ExpFloat64", func(r *rand.Rand) any { return r.ExpFloat64() }},
+	{"Perm", func(r *rand.Rand) any { return fmt.Sprint(r.Perm(9)) }},
+	{"Shuffle", func(r *rand.Rand) any {
+		s := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		return fmt.Sprint(s)
+	}},
+	{"Read", func(r *rand.Rand) any {
+		var b [11]byte
+		r.Read(b[:])
+		return b
+	}},
+}
+
+// lazyStops are the draw counts the lazy-register differential test
+// stops at: the first draws, the last lazy draw (272) and the register
+// build (273), the end of the first block (333), the stdlib's own index
+// wrap (606/607), the end of the first full block (940) and a draw
+// well past every boundary.
+var lazyStops = []int{0, 1, 272, 273, 274, 333, 334, 606, 607, 608, 940, 941, 1000}
+
+// drawTo advances two freshly seeded generators to source draw stop,
+// comparing every draw on the way (Rand.Uint64 is exactly one source
+// draw).
+func drawTo(got, want *rand.Rand, stop int) error {
+	for i := 0; i < stop; i++ {
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			return fmt.Errorf("draw %d = %d, stdlib %d", i, g, w)
+		}
+	}
+	return nil
+}
+
+// TestRNGLazyBoundary is the differential test for the lazy register:
+// at every stopping point across the lazy window and the block
+// boundaries, every *rand.Rand method must return what the standard
+// library's seeded source gives — from a fresh source, and after
+// Rand.Seed reseeds a source that stopped there, which is still lazy
+// below draw 273 and has built its register from then on.
+func TestRNGLazyBoundary(t *testing.T) {
+	t.Parallel()
+	seeds := []int64{0, -1, m31, math.MinInt64}
+	for _, seed := range seeds {
+		for _, stop := range lazyStops {
+			for _, m := range lazyMethods {
+				src := new(source)
+				src.Seed(seed)
+				got, want := rand.New(src), rand.New(rand.NewSource(seed))
+				// The second pass reseeds the stream where the first
+				// left it: still lazy below draw 273, built from there.
+				for pass, s := range []int64{seed, seed ^ int64(stop)} {
+					if pass > 0 {
+						got.Seed(s)
+						want.Seed(s)
+					}
+					if err := drawTo(got, want, stop); err != nil {
+						t.Fatalf("seed %d, pass %d: %v", s, pass, err)
+					}
+					for i := 0; i < 8; i++ {
+						if g, w := m.call(got), m.call(want); g != w {
+							t.Fatalf("seed %d, pass %d: %s call %d after draw %d = %v, stdlib %v", s, pass, m.name, i, stop, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -32,7 +32,9 @@ go test -race ./...
 # the race detector (its instrumentation allocates), so they are
 # enforced by an explicit no-race pass over the serving packages:
 # the wire codec, the timer core, the shard ingest + clock-pump loops,
-# the node client's report path, and the CKPT checkpoint codec. The
+# the node client's report path, and the CKPT checkpoint codec — plus
+# the lazy RNG register (TestRNGLazyAlloc) and the live heap a resident
+# household holds (TestTenantResidentAllocBudget). The
 # hotalloc analyzer rides in the same phase — it names the escaping
 # expression when a //coreda:hotpath function regresses, which an
 # AllocsPerRun count never does.
@@ -47,10 +49,12 @@ go run ./cmd/coreda-vet -only hotalloc ./...
 # pin the scheduler against a naive reference implementation, and
 # sim.RNG's ported source against math/rand's own seeded source (every
 # draw method, edge and random seeds, the multiply-and-fold seeding step
-# against Schrage's, and the stream-seed derivation).
+# against Schrage's, the stream-seed derivation, and every stopping
+# point around the lazy register's window and block boundaries, fresh
+# and reseeded).
 echo "== advance + RNG parity (indexed vs sweep, port vs stdlib, race-enabled)"
 go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|TestDueHeap' ./internal/fleet/
-go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference|TestRNGSourceMatchesStdlib|TestMulMod31MatchesSchrage|TestRNGDerivationUnchanged' ./internal/sim/
+go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference|TestRNGSourceMatchesStdlib|TestMulMod31MatchesSchrage|TestRNGDerivationUnchanged|TestRNGLazyBoundary' ./internal/sim/
 
 # Stop-race gate: a connection handed to either TCP server after Stop
 # must be closed, not registered past Stop's sweep and left blocking in
