@@ -299,13 +299,15 @@ func BenchmarkQLambdaObserve(b *testing.B) {
 // BenchmarkWireRoundTrip measures encoding + decoding one usage report.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	pkt := &wire.UsageStart{UID: 21, Seq: 7, Sensor: 1, NodeTime: 123456, Hits: 4, Threshold: 100}
+	buf := make([]byte, 0, wire.MaxFrame)
+	var f wire.Frame
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := wire.Encode(pkt)
+		frame, err := wire.AppendFrame(buf[:0], pkt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.Decode(frame); err != nil {
+		if err := wire.DecodeInto(&f, frame); err != nil {
 			b.Fatal(err)
 		}
 	}

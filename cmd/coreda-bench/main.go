@@ -7,17 +7,17 @@
 //	coreda-bench [-seed N] [-samples N] [-episodes N] [-workers N] [table3|figure4|table4|figure1|ablations|comparison|chaos|fleet|fleetidle|cluster|sweeps|all]
 //
 // The fleet workload (-households, -fleet-shards, -fleet-sessions,
-// -fleet-control, -fleet-jobfail, -fleet-json) soaks the multi-tenant
-// runtime of internal/fleet; its stdout is deterministic and independent
-// of shard count, control-plane mode and job-failure injection, while
-// -fleet-json records this run's wall-clock throughput.
+// -fleet-jobfail, -fleet-json) soaks the multi-tenant runtime of
+// internal/fleet; its stdout is deterministic and independent of shard
+// count and job-failure injection (testdata/fleet-seed1-h1000.golden
+// pins it for 1000 households), while -fleet-json records this run's
+// wall-clock throughput.
 //
 // The fleetidle workload (-households, -idle-active, -idle-ticks,
-// -fleet-advance, -fleet-json) measures the clock-pump cost over a
-// mostly-idle resident population under the due-time tenant index
-// ("indexed") or the pre-index full sweep ("sweep"); it is excluded
-// from "all" because its interesting population sizes are slow under
-// the sweep baseline.
+// -fleet-json) measures the clock-pump cost of the due-time tenant
+// index over a mostly-idle resident population; it is excluded from
+// "all" because its interesting population sizes (10k+ households) take
+// a while to admit.
 //
 // The cluster workload (-cluster-households, -cluster-sessions,
 // -cluster-json) re-runs the soak as 1, 2 and 3 cooperating worker
@@ -49,15 +49,12 @@ func main() {
 	fleetShards := flag.Int("fleet-shards", 0, "fleet shard count (0 = GOMAXPROCS; stdout is identical at any value)")
 	fleetSessions := flag.Int("fleet-sessions", 4, "sessions per household for the fleet workload")
 	fleetJSON := flag.String("fleet-json", "", "write fleet throughput (events/sec, households/shard) to this JSON file")
-	fleetControl := flag.String("fleet-control", "queue", "fleet control-plane mode: queue or inline (stdout is identical at either)")
 	fleetJobFail := flag.Float64("fleet-jobfail", 0, "chaos job-failure probability for control-queue jobs (stdout is identical at any value)")
-	fleetAdvance := flag.String("fleet-advance", "indexed", "fleetidle clock-pump mode: indexed (due-time index) or sweep (pre-index baseline)")
 	idleActive := flag.Int("idle-active", 100, "mid-session households for the fleetidle workload (the rest are fully idle)")
 	idleTicks := flag.Int("idle-ticks", 5000, "clock-pump ticks for the fleetidle workload")
 	clusterHouseholds := flag.Int("cluster-households", 24, "simulated households for the cluster workload")
 	clusterSessions := flag.Int("cluster-sessions", 4, "sessions per household for the cluster workload")
 	clusterJSON := flag.String("cluster-json", "", "write cluster throughput (events/sec at 1/2/3 procs) to this JSON file")
-	storeFormat := flag.String("store-format", "binary", "fleet checkpoint encoding: binary or json (stdout is identical at either)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	flag.Parse()
@@ -194,12 +191,12 @@ func main() {
 		return nil
 	})
 	run("fleet", func() error {
-		return runFleetBench(*seed, *households, *fleetShards, *fleetSessions, *workers, *storeFormat, *fleetControl, *fleetJobFail, *fleetJSON)
+		return runFleetBench(*seed, *households, *fleetShards, *fleetSessions, *workers, *fleetJobFail, *fleetJSON)
 	})
 	// Opt-in only (not part of "all"): its interesting population size
 	// (10k+ households) is too slow for the default sweep of experiments.
 	if which == "fleetidle" {
-		if err := runFleetIdleBench(*seed, *households, *idleActive, *idleTicks, *fleetShards, *fleetAdvance, *fleetJSON); err != nil {
+		if err := runFleetIdleBench(*seed, *households, *idleActive, *idleTicks, *fleetShards, *fleetJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "coreda-bench: fleetidle: %v\n", err)
 			os.Exit(1)
 		}

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	coreda-fleet [-addr :7100] [-shards N] [-dir fleet-policies]
-//	             [-store-format binary|json]
 //	             [-activity tea-making] [-mode learn|assist] [-speed 1]
 //	             [-checkpoint 30s] [-evict 30m] [-default-household home]
 //	             [-seed 1] [-keep-learning]
@@ -55,7 +54,6 @@ type options struct {
 	addr             string
 	shards           int
 	dir              string
-	storeFormat      string
 	activityName     string
 	activityFile     string
 	mode             string
@@ -78,7 +76,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":7100", "listen address")
 	flag.IntVar(&o.shards, "shards", 0, "shard event loops households are hashed across (0 = GOMAXPROCS)")
 	flag.StringVar(&o.dir, "dir", "fleet-policies", "checkpoint directory (one policy file per household)")
-	flag.StringVar(&o.storeFormat, "store-format", "binary", "checkpoint encoding: binary or json (loads sniff either)")
 	flag.StringVar(&o.activityName, "activity", "tea-making", "activity every household is instrumented for")
 	flag.StringVar(&o.activityFile, "activity-file", "", "JSON activity declaration overriding -activity")
 	flag.StringVar(&o.mode, "mode", "learn", "session mode: learn or assist")
@@ -124,11 +121,6 @@ func run(o options) error {
 		mode = coreda.ModeAssist
 	default:
 		return fmt.Errorf("unknown mode %q", o.mode)
-	}
-
-	format, err := store.ParseFormat(o.storeFormat)
-	if err != nil {
-		return err
 	}
 
 	out := &console{}
@@ -194,7 +186,6 @@ func run(o options) error {
 		Shards:    o.shards,
 		Dir:       o.dir,
 		Backend:   backend,
-		Format:    format,
 		IdleEvict: o.evict,
 		Bus:       bus,
 		OnLog:     func(msg string) { out.printf("%s\n", msg) },

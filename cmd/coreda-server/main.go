@@ -8,7 +8,7 @@
 //
 //	coreda-server [-addr :7007] [-activity tea-making] [-mode learn|assist]
 //	              [-user "Mr. Tanaka"] [-speed 1] [-policy policy.ckpt]
-//	              [-save policy.ckpt] [-store-format binary|json]
+//	              [-save policy.ckpt]
 //	              [-checkpoint 30s] [-supervise 30s]
 //	              [-read-timeout 2m] [-write-timeout 10s]
 //
@@ -35,7 +35,6 @@ import (
 	"coreda"
 	"coreda/internal/rtbridge"
 	"coreda/internal/sensornet"
-	"coreda/internal/store"
 )
 
 // options collects the command-line configuration.
@@ -48,7 +47,6 @@ type options struct {
 	speed        float64
 	policy       string
 	save         string
-	storeFormat  string
 	checkpoint   time.Duration
 	supervise    time.Duration
 	readTimeout  time.Duration
@@ -66,7 +64,6 @@ func main() {
 	flag.Float64Var(&o.speed, "speed", 1, "simulated seconds per wall-clock second")
 	flag.StringVar(&o.policy, "policy", "", "policy file to load before serving")
 	flag.StringVar(&o.save, "save", "", "policy file to write on shutdown (and recover from on start)")
-	flag.StringVar(&o.storeFormat, "store-format", "binary", "policy checkpoint encoding: binary or json (loads sniff either)")
 	flag.DurationVar(&o.checkpoint, "checkpoint", 0, "periodic policy checkpoint interval, wall clock (0 disables)")
 	flag.DurationVar(&o.supervise, "supervise", 0, "node-liveness supervision interval, virtual time (0 disables)")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 0, "per-connection read deadline, wall clock (0 disables)")
@@ -96,10 +93,6 @@ func run(o options) error {
 		mode = coreda.ModeAssist
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
-	}
-	format, err := store.ParseFormat(o.storeFormat)
-	if err != nil {
-		return err
 	}
 
 	srv, err := rtbridge.NewServer(rtbridge.ServerConfig{
@@ -162,7 +155,7 @@ func run(o options) error {
 				select {
 				case <-tick.C:
 					srv.Do(func() {
-						if err := srv.System().SavePolicyFormat(save, format); err != nil {
+						if err := srv.System().SavePolicy(save); err != nil {
 							fmt.Fprintln(os.Stderr, "checkpoint:", err)
 						}
 					})
@@ -179,7 +172,7 @@ func run(o options) error {
 		close(quit)
 		if save != "" {
 			srv.Do(func() {
-				if err := srv.System().SavePolicyFormat(save, format); err != nil {
+				if err := srv.System().SavePolicy(save); err != nil {
 					fmt.Fprintln(os.Stderr, "save policy:", err)
 				} else {
 					fmt.Printf("policy saved to %s\n", save)

@@ -33,7 +33,7 @@ func pump(t *testing.T, plan ConnPlan, n int) (decoded int, writeErr error) {
 	}()
 
 	for i := 0; i < n; i++ {
-		frame, err := wire.Encode(&wire.Heartbeat{UID: 1, Seq: uint16(i + 1), Battery: 90})
+		frame, err := wire.AppendFrame(nil, &wire.Heartbeat{UID: 1, Seq: uint16(i + 1), Battery: 90})
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}

@@ -307,7 +307,7 @@ func TestPeerSlowReplicaHitsDeadline(t *testing.T) {
 						return
 					}
 					if f.Kind == wire.TypePeerHello {
-						frame, _ := wire.Encode(&wire.PeerHello{
+						frame, _ := wire.AppendFrame(nil, &wire.PeerHello{
 							PeerVersion: wire.PeerHelloVersion, Epoch: 1,
 							PeerAddr: ln.Addr().String(), NodeAddr: "10.9.9.9:7001",
 						})

@@ -83,7 +83,7 @@ func TestShardIngestAllocBudget(t *testing.T) {
 // idle tenants to (almost) zero allocations per tick: the tick is a
 // plain channel message (no closure capturing the deadline), the
 // dispatch is a due-heap peek that finds nothing due, and no per-tick
-// scratch — the old sorted-households slice — is built. The budget
+// scratch is built. The budget
 // absorbs only the single Stats barrier closing the measured window.
 func TestAdvanceTickAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -91,7 +91,6 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	}
 	cfg := testConfig(t.TempDir())
 	cfg.Shards = 1
-	cfg.Control = ControlInline
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

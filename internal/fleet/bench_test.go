@@ -61,12 +61,10 @@ func BenchmarkShardIngest(b *testing.B) {
 // shard is driven directly on the caller's goroutine — which is what
 // makes the advance benchmarks single-threaded and their allocs/op
 // numbers exact.
-func idleFleetShard(b *testing.B, resident, active int, mode AdvanceMode) *shard {
+func idleFleetShard(b *testing.B, resident, active int) *shard {
 	b.Helper()
 	cfg := testConfig(b.TempDir())
 	cfg.Shards = 1
-	cfg.Control = ControlInline
-	cfg.Advance = mode
 	f, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -89,28 +87,19 @@ func idleFleetShard(b *testing.B, resident, active int, mode AdvanceMode) *shard
 	return s
 }
 
-// benchAdvance drives shard-level clock-pump ticks over a mostly-idle
-// population: 10k resident households, 1% of them mid-session. Ticks
-// step 1µs, staying short of the active sessions' ~30s watchdogs, so
-// every tick is the pump's steady-state case — nothing is due yet, but
-// the shard must establish that. The indexed path answers with one heap
-// peek; the sweep walks and sorts all 10k tenants.
-func benchAdvance(b *testing.B, mode AdvanceMode) {
+// BenchmarkAdvanceIdle is the due-time index's headline number: the
+// per-tick cost of advancing a shard where almost every household is
+// idle (scripts/bench.sh records it in BENCH_fleet.json). The population
+// is 10k resident households, 1% of them mid-session. Ticks step 1µs,
+// staying short of the active sessions' ~30s watchdogs, so every tick is
+// the pump's steady-state case — nothing is due yet, but the shard must
+// establish that, and the due index answers with one heap peek.
+func BenchmarkAdvanceIdle(b *testing.B) {
 	const resident, active = 10000, 100
-	s := idleFleetShard(b, resident, active, mode)
+	s := idleFleetShard(b, resident, active)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.advanceAll(time.Duration(i) * time.Microsecond)
 	}
 }
-
-// BenchmarkAdvanceIdle is the due-time index's headline number: the
-// per-tick cost of advancing a shard where almost every household is
-// idle. Gated ≥10x below BenchmarkAdvanceIdleSweep (scripts/bench.sh
-// records both in BENCH_fleet.json).
-func BenchmarkAdvanceIdle(b *testing.B) { benchAdvance(b, AdvanceIndexed) }
-
-// BenchmarkAdvanceIdleSweep is the pre-index baseline: every tick walks
-// the full resident population in sorted order.
-func BenchmarkAdvanceIdleSweep(b *testing.B) { benchAdvance(b, AdvanceSweep) }

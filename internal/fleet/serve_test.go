@@ -24,7 +24,7 @@ func dialNode(t *testing.T, addr string) (net.Conn, *wire.Reader) {
 
 func sendPacket(t *testing.T, c net.Conn, p wire.Packet) {
 	t.Helper()
-	frame, err := wire.Encode(p)
+	frame, err := wire.AppendFrame(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}

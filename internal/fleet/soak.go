@@ -35,10 +35,6 @@ type SoakConfig struct {
 	// Dir is the checkpoint directory. It should start empty: stale
 	// policy files would both seed tenants and pollute the digest.
 	Dir string
-	// Format selects the checkpoint encoding written by the fleet. The
-	// digest decodes and canonicalizes blobs, so it is identical across
-	// formats.
-	Format store.Format
 	// Workers bounds the parrun pool generating household streams.
 	// Zero means GOMAXPROCS.
 	Workers int
@@ -47,17 +43,13 @@ type SoakConfig struct {
 	IdleEvict time.Duration
 	// OnLog receives fleet log lines (may be nil).
 	OnLog func(string)
-	// Control selects the fleet's control-plane path (zero =
-	// queue-backed). The digest must not depend on it — that is the
-	// queue-parity gate in check.sh.
-	Control ControlMode
 	// Bus, if non-nil, receives the fleet's control-plane events.
 	Bus *notify.Bus
 	// JobFail is the chaos job-failure probability: each control-queue
 	// job fails injected attempts with this probability, drawn on the
 	// per-shard "chaos/jobs/<shard>" stream, exercising retry/backoff
 	// without changing any outcome (or the digest). Zero injects
-	// nothing; ignored under ControlInline.
+	// nothing.
 	JobFail float64
 }
 
@@ -103,10 +95,8 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	fcfg := Config{
 		Shards:    cfg.Shards,
 		Dir:       cfg.Dir,
-		Format:    cfg.Format,
 		IdleEvict: cfg.IdleEvict,
 		OnLog:     cfg.OnLog,
-		Control:   cfg.Control,
 		Bus:       cfg.Bus,
 		NewSystem: func(household string) (coreda.SystemConfig, error) {
 			return coreda.SystemConfig{
@@ -248,8 +238,9 @@ func soakStream(cfg SoakConfig, household string) []Event {
 // re-encoding, so the digest is a function of what the tenants learned,
 // not of how the bytes happen to be stored: two fleets that learned the
 // same policies produce the same digest at any shard count AND in any
-// on-disk format (JSON float64s round-trip bit-exactly). This is the
-// comparator behind the shard-count and format parity gates.
+// on-disk format (JSON float64s round-trip bit-exactly), so a legacy
+// JSON checkpoint set hashes the same before and after it migrates.
+// This is the comparator behind the golden digests.
 func Digest(b store.Backend) (string, error) {
 	var names []string
 	if err := b.Enumerate(func(name string) { names = append(names, name) }); err != nil {

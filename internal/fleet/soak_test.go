@@ -67,8 +67,20 @@ func TestSoakShardParity(t *testing.T) {
 // committed digest can.
 const goldenSoakDigest = "5abb840bf67e8c5688f5f0a21a673a73a666e877bef18e8016ef0cb5d84c7867"
 
-// TestSoakGoldenDigest pins the seed-1 soak to goldenSoakDigest at 1, 4
-// and 8 shards.
+// goldenSoakStats is the same soak's counter snapshot: every household
+// is evicted once mid-life and recovered from its checkpoint, nothing is
+// dropped or lost.
+var goldenSoakStats = Stats{
+	Events:      32000,
+	Admissions:  2000,
+	Recovered:   1000,
+	Evictions:   1000,
+	Checkpoints: 2000,
+	Resident:    1000,
+}
+
+// TestSoakGoldenDigest pins the seed-1 soak to goldenSoakDigest and
+// goldenSoakStats at 1, 4 and 8 shards.
 func TestSoakGoldenDigest(t *testing.T) {
 	for _, shards := range []int{1, 4, 8} {
 		res, err := Soak(SoakConfig{Seed: 1, Households: 1000, Sessions: 4, Shards: shards, Dir: t.TempDir()})
@@ -78,41 +90,79 @@ func TestSoakGoldenDigest(t *testing.T) {
 		if res.Digest != goldenSoakDigest {
 			t.Errorf("digest at %d shards = %s, want golden %s", shards, res.Digest, goldenSoakDigest)
 		}
+		if res.Stats != goldenSoakStats {
+			t.Errorf("stats at %d shards = %+v, want golden %+v", shards, res.Stats, goldenSoakStats)
+		}
 	}
 }
 
-// TestSoakFormatParity is the storage-format analogue of shard parity:
-// the same soak run with binary and JSON checkpoints must produce the
-// same digest (it decodes and canonicalizes blobs) and the same stats —
-// the on-disk encoding is an operational choice, never a behavioural
-// one.
-func TestSoakFormatParity(t *testing.T) {
-	cfg := SoakConfig{Seed: 42, Households: 12, Sessions: 4, Shards: 2}
-	run := func(format store.Format) (SoakResult, string) {
-		dir := t.TempDir()
-		cfg.Dir, cfg.Format = dir, format
-		res, err := Soak(cfg)
-		if err != nil {
-			t.Fatalf("soak with %v checkpoints: %v", format, err)
-		}
-		return res, dir
+// legacyJSONDigest is the digest of testdata/legacy-json: the primary
+// checkpoints of SoakConfig{Seed: 42, Households: 12, Sessions: 4,
+// Shards: 2}, written in the pre-binary JSON encoding. It equals the
+// digest the same soak gives with binary checkpoints, because Digest
+// canonicalizes every blob.
+const legacyJSONDigest = "579f0a17f12251a5099559d464abcb2ece6d4697eef54aaa47ed22adb790acc4"
+
+// TestLegacyJSONFixtureMigrates: a checkpoint directory written in the
+// JSON encoding still loads, and the next write of each household
+// migrates it to binary without changing what was learned.
+func TestLegacyJSONFixtureMigrates(t *testing.T) {
+	const fixture = "testdata/legacy-json"
+	if d, err := DigestDir(fixture); err != nil || d != legacyJSONDigest {
+		t.Fatalf("fixture digest = %s, %v; want %s", d, err, legacyJSONDigest)
 	}
-	bin, _ := run(store.FormatBinary)
-	js, jsDir := run(store.FormatJSON)
-	if bin.Digest != js.Digest {
-		t.Errorf("digest binary %s != json %s", bin.Digest, js.Digest)
-	}
-	if bin.Stats != js.Stats {
-		t.Errorf("stats binary %+v != json %+v", bin.Stats, js.Stats)
-	}
-	// The JSON run must genuinely have written JSON bytes — parity by
-	// canonicalization, not because the flag was ignored.
-	data, err := os.ReadFile(filepath.Join(jsDir, SoakHousehold(0)+".ckpt"))
+	dir := t.TempDir()
+	ents, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := store.SniffFormat(data); !ok || f != store.FormatJSON {
-		t.Errorf("json-format soak wrote %v blobs", f)
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := store.SniffFormat(data); !ok || f != store.FormatJSON {
+			t.Fatalf("fixture %s is not a JSON checkpoint", e.Name())
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ents) != 12 {
+		t.Fatalf("fixture holds %d blobs, want 12", len(ents))
+	}
+
+	f, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	for h := 0; h < len(ents); h++ {
+		id := SoakHousehold(h)
+		if err := f.Do(id, func(*Tenant) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.EvictNow(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Stats()
+	f.Stop()
+	if st.Recovered != 12 || st.RecoveryErrors != 0 {
+		t.Errorf("recovered/errors = %d/%d, want 12/0", st.Recovered, st.RecoveryErrors)
+	}
+
+	for h := 0; h < len(ents); h++ {
+		data, err := os.ReadFile(filepath.Join(dir, SoakHousehold(h)+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := store.SniffFormat(data); !ok || f != store.FormatBinary {
+			t.Errorf("%s still sniffs as %v after migration", SoakHousehold(h), f)
+		}
+	}
+	if d, err := DigestDir(dir); err != nil || d != legacyJSONDigest {
+		t.Errorf("digest after migration = %s, %v; want %s", d, err, legacyJSONDigest)
 	}
 }
 

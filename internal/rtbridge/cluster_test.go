@@ -41,7 +41,7 @@ func fakePeer(t *testing.T, serves, next string) string {
 					} else {
 						reply = &wire.Redirect{Seq: f.Hello.Seq, Addr: next}
 					}
-					frame, err := wire.Encode(reply)
+					frame, err := wire.AppendFrame(nil, reply)
 					if err != nil {
 						return
 					}
@@ -115,7 +115,7 @@ func TestDialClusterBoundsRedirectLoops(t *testing.T) {
 					if f.Kind != wire.TypeHello {
 						continue
 					}
-					frame, _ := wire.Encode(&wire.Redirect{Seq: f.Hello.Seq, Addr: self})
+					frame, _ := wire.AppendFrame(nil, &wire.Redirect{Seq: f.Hello.Seq, Addr: self})
 					if _, err := c.Write(frame); err != nil {
 						return
 					}

@@ -30,7 +30,7 @@ func TestReadTimeoutReapsSilentConns(t *testing.T) {
 		}
 		defer c.Close()
 		conns = append(conns, c)
-		frame, err := wire.Encode(&wire.Heartbeat{UID: 21, Seq: uint16(i + 1), Battery: 80})
+		frame, err := wire.AppendFrame(nil, &wire.Heartbeat{UID: 21, Seq: uint16(i + 1), Battery: 80})
 		if err != nil {
 			t.Fatal(err)
 		}

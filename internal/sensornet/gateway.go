@@ -92,6 +92,12 @@ type Gateway struct {
 	pending map[uint16]*pendingTx
 	battery map[uint16]uint8 // last reported battery percent per node
 
+	// rx is the decode target of every received frame and tx the encode
+	// buffer of every ack sent; the medium copies each frame it carries,
+	// so both are reused.
+	rx wire.Frame
+	tx []byte
+
 	// Liveness supervision state.
 	watched     []uint16 // sorted; determinism of the check sweep
 	lastSeen    map[uint16]time.Duration
@@ -233,7 +239,8 @@ func (g *Gateway) SendLED(uid uint16, color wire.LEDColor, blinks uint8, period 
 		Blinks:   blinks,
 		PeriodMs: uint16(period / time.Millisecond),
 	}
-	frame, err := wire.Encode(cmd)
+	// Retransmissions resend this frame, so it gets its own buffer.
+	frame, err := wire.AppendFrame(nil, cmd)
 	if err != nil {
 		panic(fmt.Sprintf("sensornet: encoding LED command: %v", err))
 	}
@@ -261,11 +268,10 @@ func (g *Gateway) transmit(uid, seq uint16, tx *pendingTx) {
 
 // receive handles a frame delivered by the medium.
 func (g *Gateway) receive(frame []byte) {
-	p, err := wire.Decode(frame)
-	if err != nil {
+	if err := wire.DecodeInto(&g.rx, frame); err != nil {
 		return // corrupted in flight
 	}
-	switch pkt := p.(type) {
+	switch pkt := g.rx.Packet().(type) {
 	case *wire.UsageStart:
 		g.touch(pkt.UID)
 		if !g.accept(pkt.UID, pkt.Seq) {
@@ -306,10 +312,11 @@ func (g *Gateway) receive(frame []byte) {
 // accept acknowledges a usage report and returns false if it is a
 // retransmission the gateway already processed.
 func (g *Gateway) accept(uid, seq uint16) bool {
-	ack, err := wire.Encode(&wire.Ack{UID: uid, Seq: seq})
+	ack, err := wire.AppendFrame(g.tx[:0], &wire.Ack{UID: uid, Seq: seq})
 	if err != nil {
 		panic(fmt.Sprintf("sensornet: encoding ack: %v", err))
 	}
+	g.tx = ack
 	g.medium.toNode(uid, ack)
 	// Node sequence numbers are monotonic, so anything not strictly newer
 	// (in serial-number arithmetic, robust to uint16 wrap) is a

@@ -64,6 +64,11 @@ type Node struct {
 	eeprom *eepromLog
 
 	pending map[uint16]*pendingTx
+	// rx is the decode target of every received frame and tx the encode
+	// buffer of every fire-and-forget frame (heartbeats, acks); the
+	// medium copies each frame it carries, so both are reused.
+	rx      wire.Frame
+	tx      []byte
 	boot    time.Duration
 	started bool
 	stops   []func()
@@ -288,7 +293,7 @@ func (n *Node) heartbeat() {
 		return
 	}
 	n.seq++
-	frame, err := wire.Encode(&wire.Heartbeat{
+	frame, err := wire.AppendFrame(n.tx[:0], &wire.Heartbeat{
 		UID:      n.cfg.UID,
 		Seq:      n.seq,
 		UptimeMs: n.nodeTime(),
@@ -297,13 +302,15 @@ func (n *Node) heartbeat() {
 	if err != nil {
 		panic(fmt.Sprintf("sensornet: encoding heartbeat: %v", err))
 	}
+	n.tx = frame
 	// Heartbeats are fire-and-forget: no ack, no retransmission.
 	n.medium.toGateway(n.cfg.UID, frame)
 }
 
 // sendReliable transmits a packet with ack-based retransmission.
+// Retransmissions resend the frame, so it gets its own buffer.
 func (n *Node) sendReliable(p wire.Packet) {
-	frame, err := wire.Encode(p)
+	frame, err := wire.AppendFrame(nil, p)
 	if err != nil {
 		panic(fmt.Sprintf("sensornet: encoding %v: %v", p.Type(), err))
 	}
@@ -335,11 +342,10 @@ func (n *Node) transmit(seq uint16, tx *pendingTx) {
 
 // receive handles a frame delivered to this node by the medium.
 func (n *Node) receive(frame []byte) {
-	p, err := wire.Decode(frame)
-	if err != nil {
+	if err := wire.DecodeInto(&n.rx, frame); err != nil {
 		return // corrupted in flight; CRC catches it
 	}
-	switch pkt := p.(type) {
+	switch pkt := n.rx.Packet().(type) {
 	case *wire.Ack:
 		if tx, ok := n.pending[pkt.Seq]; ok {
 			tx.timer.Cancel()
@@ -347,10 +353,11 @@ func (n *Node) receive(frame []byte) {
 		}
 	case *wire.LEDCommand:
 		n.applyLED(pkt)
-		ack, err := wire.Encode(&wire.Ack{UID: n.cfg.UID, Seq: pkt.Seq})
+		ack, err := wire.AppendFrame(n.tx[:0], &wire.Ack{UID: n.cfg.UID, Seq: pkt.Seq})
 		if err != nil {
 			panic(fmt.Sprintf("sensornet: encoding ack: %v", err))
 		}
+		n.tx = ack
 		n.medium.toGateway(n.cfg.UID, ack)
 	}
 }

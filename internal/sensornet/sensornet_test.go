@@ -143,7 +143,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	m := perfectMedium(sched)
 	var events []UsageEvent
 	g := NewGateway(sched, m, collect(&events))
-	frame, err := wire.Encode(&wire.UsageStart{UID: 9, Seq: 5, Hits: 3})
+	frame, err := wire.AppendFrame(nil, &wire.UsageStart{UID: 9, Seq: 5, Hits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestStaleReorderedSeqRejected(t *testing.T) {
 	m := perfectMedium(sched)
 	var events []UsageEvent
 	g := NewGateway(sched, m, collect(&events))
-	newer, _ := wire.Encode(&wire.UsageEnd{UID: 9, Seq: 6, DurationMs: 100})
-	older, _ := wire.Encode(&wire.UsageStart{UID: 9, Seq: 5, Hits: 3})
+	newer, _ := wire.AppendFrame(nil, &wire.UsageEnd{UID: 9, Seq: 6, DurationMs: 100})
+	older, _ := wire.AppendFrame(nil, &wire.UsageStart{UID: 9, Seq: 5, Hits: 3})
 	g.receive(newer)
 	g.receive(older) // stale: must be dropped
 	sched.Run()

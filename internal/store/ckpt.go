@@ -281,10 +281,10 @@ func decodeCkptBinary(c *Checkpoint, data []byte) error {
 	return nil
 }
 
-// Format selects a checkpoint's on-disk encoding. The zero value is the
-// binary CKPT format — the default everywhere since checkpoints became
-// binary; JSON remains readable forever (loads sniff the content) and
-// writable for debugging via the -store-format flags.
+// Format names a checkpoint's on-disk encoding, as SniffFormat reports
+// it. Every write is the binary CKPT format; JSON, the pre-binary
+// encoding, remains readable forever (loads sniff the content) and
+// migrates to binary on the next write.
 type Format uint8
 
 // Checkpoint encodings.
@@ -301,17 +301,6 @@ func (f Format) String() string {
 		return "json"
 	}
 	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// ParseFormat parses a -store-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return 0, fmt.Errorf("store: unknown checkpoint format %q (want binary or json)", s)
 }
 
 // SniffFormat reports the encoding of a checkpoint blob: the CKPT magic
@@ -338,8 +327,7 @@ func SniffFormat(data []byte) (f Format, ok bool) {
 // Binary blobs reuse c's slices (steady-state re-decode of the same
 // tenant allocates nothing); JSON blobs — legacy multi-policy or
 // single-policy files — take the allocating path, which only runs once
-// per migration since the next save rewrites the blob in the current
-// default format.
+// per migration since the next save rewrites the blob in binary.
 func DecodeCheckpoint(c *Checkpoint, data []byte) error {
 	f, ok := SniffFormat(data)
 	if !ok {

@@ -69,22 +69,17 @@ func (d *discardBackend) Delete(string) error                        { return ni
 func BenchmarkCheckpointEncode(b *testing.B) {
 	c := benchCheckpoint()
 	tables, states := materialize(b, c)
-	for _, format := range []Format{FormatBinary, FormatJSON} {
-		format := format
-		b.Run(format.String(), func(b *testing.B) {
-			sv := MultiSaver{Format: format}
-			back := &discardBackend{}
-			if err := sv.Save(back, "h", c.User, c.Activity, c.Routines, tables, states, false); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sv.Save(back, "h", c.User, c.Activity, c.Routines, tables, states, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var sv MultiSaver
+	back := &discardBackend{}
+	if err := sv.Save(back, "h", c.User, c.Activity, c.Routines, tables, states, false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sv.Save(back, "h", c.User, c.Activity, c.Routines, tables, states, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

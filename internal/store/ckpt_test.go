@@ -283,22 +283,10 @@ func TestCheckpointEncodeRejects(t *testing.T) {
 	}
 }
 
-func TestParseAndSniffFormat(t *testing.T) {
+func TestSniffFormat(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct {
-		in   string
-		want Format
-	}{{"binary", FormatBinary}, {"json", FormatJSON}} {
-		got, err := ParseFormat(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("Format.String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseFormat("yaml"); err == nil {
-		t.Fatal("ParseFormat accepted yaml")
+	if FormatBinary.String() != "binary" || FormatJSON.String() != "json" {
+		t.Fatalf("Format names = %q, %q", FormatBinary, FormatJSON)
 	}
 	if _, ok := SniffFormat([]byte("  \n\tgarbage")); ok {
 		t.Fatal("SniffFormat accepted garbage")

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 
 	"coreda/internal/adl"
@@ -13,9 +11,9 @@ import (
 const multiPolicyVersion = 1
 
 // MultiPolicyFile serializes a multi-routine policy: the routine set and
-// one Q-table per routine. It is the JSON-format schema (and the
-// compatibility view LoadMultiPolicy returns whatever the on-disk
-// encoding was).
+// one Q-table per routine. It is the schema of legacy JSON checkpoints
+// (still decoded on load) and the compatibility view LoadMultiPolicy
+// returns whatever the on-disk encoding was.
 type MultiPolicyFile struct {
 	Version  int          `json:"version"`
 	User     string       `json:"user"`
@@ -56,21 +54,13 @@ func EncodeRoutines(routines []adl.Routine) EncodedRoutines {
 // encode state: the staged Checkpoint, its Q-value scratch slices and
 // the encode buffer all persist across saves, so steady-state
 // checkpointing does not scale its allocations with the Q-table size.
-// Format selects the encoding (the zero value is the binary CKPT
-// default). The zero value is ready to use. A MultiSaver is not safe
-// for concurrent use; in the fleet each shard owns one and checkpoints
-// its tenants through it.
+// It always writes the binary CKPT format. The zero value is ready to
+// use. A MultiSaver is not safe for concurrent use; in the fleet each
+// shard owns one and checkpoints its tenants through it.
 type MultiSaver struct {
-	// Format is the on-disk encoding written by Save/SavePath.
-	Format Format
-
-	ckpt Checkpoint // staged encode view (binary path)
-	buf  []byte     // reusable CKPT encode buffer
-
-	f  MultiPolicyFile // staged encode view (JSON path)
-	bw *bufio.Writer   // reusable JSON stream buffer, reset per save
-
-	q [][]float64 // per-policy Q-value scratch, reused across saves
+	ckpt Checkpoint  // staged encode view
+	buf  []byte      // reusable CKPT encode buffer
+	q    [][]float64 // per-policy Q-value scratch, reused across saves
 }
 
 // Save encodes one checkpoint and writes it atomically through the
@@ -111,7 +101,7 @@ func (s *MultiSaver) SavePath(path, user, activity string, routines EncodedRouti
 }
 
 // stage validates the arguments and fills the saver's reusable encode
-// view for s.Format.
+// view.
 func (s *MultiSaver) stage(user, activity string, routines EncodedRoutines, tables []*rl.QTable, states []TrainState) error {
 	if len(routines) != len(tables) {
 		return fmt.Errorf("store: %d routines but %d tables", len(routines), len(tables))
@@ -121,30 +111,6 @@ func (s *MultiSaver) stage(user, activity string, routines EncodedRoutines, tabl
 	}
 	for len(s.q) < len(tables) {
 		s.q = append(s.q, nil)
-	}
-	if s.Format == FormatJSON {
-		s.f.Version = multiPolicyVersion
-		s.f.User = user
-		s.f.Activity = activity
-		s.f.Routines = routines
-		s.f.Policies = s.f.Policies[:0]
-		for i, t := range tables {
-			s.q[i] = t.AppendValues(s.q[i][:0])
-			p := PolicyFile{
-				Version:  policyVersion,
-				User:     user,
-				Activity: activity,
-				States:   t.NumStates(),
-				Actions:  t.NumActions(),
-				Q:        s.q[i],
-			}
-			if states != nil {
-				p.Episodes = states[i].Episodes
-				p.Epsilon = states[i].Epsilon
-			}
-			s.f.Policies = append(s.f.Policies, p)
-		}
-		return nil
 	}
 	s.ckpt.User = user
 	s.ckpt.Activity = activity
@@ -168,25 +134,6 @@ func (s *MultiSaver) stage(user, activity string, routines EncodedRoutines, tabl
 
 // writeTo encodes the staged checkpoint through w and commits it.
 func (s *MultiSaver) writeTo(w BlobWriter) error {
-	if s.Format == FormatJSON {
-		// Checkpoints are machine state written at high rate, so the JSON
-		// is compact, not indented, and streams through the reusable
-		// buffer instead of marshal-then-write.
-		if s.bw == nil {
-			s.bw = bufio.NewWriterSize(w, 32<<10)
-		} else {
-			s.bw.Reset(w)
-		}
-		if err := json.NewEncoder(s.bw).Encode(&s.f); err != nil {
-			w.Abort()
-			return fmt.Errorf("store: encode checkpoint: %w", err)
-		}
-		if err := s.bw.Flush(); err != nil {
-			w.Abort()
-			return fmt.Errorf("store: write checkpoint: %w", err)
-		}
-		return w.Commit()
-	}
 	var err error
 	if s.buf, err = AppendCheckpoint(s.buf[:0], &s.ckpt); err != nil {
 		w.Abort()
@@ -196,7 +143,7 @@ func (s *MultiSaver) writeTo(w BlobWriter) error {
 }
 
 // SaveMultiPolicy writes a multi-routine policy atomically at path in
-// the default (binary) format, keeping the previous generation at
+// the binary format, keeping the previous generation at
 // path+BackupSuffix (same crash-safety contract as SavePolicy).
 // routines and tables must be parallel slices; states may be nil (no
 // training progress recorded) or parallel to them. It is the one-shot

@@ -1,5 +1,5 @@
 // Package store persists learned policies and user profiles. Policies
-// are checkpoint blobs in the binary CKPT format by default (legacy
+// are written as checkpoint blobs in the binary CKPT format (legacy
 // JSON stays loadable via content sniffing; see ckpt.go), written
 // through a pluggable Backend (see backend.go) or directly at a path;
 // every write is atomic (temp file + rename) with the previous
@@ -40,49 +40,25 @@ type PolicyFile struct {
 // generation kept as a recovery fallback.
 const BackupSuffix = ".1"
 
-// SavePolicy writes a policy file atomically in the default (binary)
-// format. The previous generation, if any, is rotated to
-// path+BackupSuffix, so a policy file corrupted after the fact (disk
-// fault, torn copy) still has a one-generation-old fallback next to it.
+// SavePolicy writes a policy file atomically in the binary CKPT format.
+// The previous generation, if any, is rotated to path+BackupSuffix, so a
+// policy file corrupted after the fact (disk fault, torn copy) still has
+// a one-generation-old fallback next to it.
 func SavePolicy(path, user, activity string, table *rl.QTable, episodes int, epsilon float64) error {
-	return SavePolicyFormat(path, FormatBinary, user, activity, table, episodes, epsilon)
-}
-
-// SavePolicyFormat is SavePolicy with an explicit on-disk encoding
-// (the -store-format plumbing for cmd/coreda-server).
-func SavePolicyFormat(path string, format Format, user, activity string, table *rl.QTable, episodes int, epsilon float64) error {
-	var data []byte
-	if format == FormatJSON {
-		f := PolicyFile{
-			Version:  policyVersion,
-			User:     user,
-			Activity: activity,
+	c := Checkpoint{
+		User:     user,
+		Activity: activity,
+		Policies: []CheckpointPolicy{{
 			States:   table.NumStates(),
 			Actions:  table.NumActions(),
 			Episodes: episodes,
 			Epsilon:  epsilon,
 			Q:        table.Values(),
-		}
-		var err error
-		if data, err = json.MarshalIndent(f, "", "  "); err != nil {
-			return fmt.Errorf("store: marshal %s: %w", path, err)
-		}
-	} else {
-		c := Checkpoint{
-			User:     user,
-			Activity: activity,
-			Policies: []CheckpointPolicy{{
-				States:   table.NumStates(),
-				Actions:  table.NumActions(),
-				Episodes: episodes,
-				Epsilon:  epsilon,
-				Q:        table.Values(),
-			}},
-		}
-		var err error
-		if data, err = AppendCheckpoint(nil, &c); err != nil {
-			return err
-		}
+		}},
+	}
+	data, err := AppendCheckpoint(nil, &c)
+	if err != nil {
+		return err
 	}
 	w, err := newFileBlobWriter(path, true)
 	if err != nil {

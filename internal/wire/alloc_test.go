@@ -64,7 +64,7 @@ func TestServingFastPathsZeroAlloc(t *testing.T) {
 		})
 
 		t.Run("DecodeInto/"+p.Type().String(), func(t *testing.T) {
-			frame, err := Encode(p)
+			frame, err := AppendFrame(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestServingFastPathsZeroAlloc(t *testing.T) {
 			continue // decode allocates string fields (see above)
 		}
 		t.Run("ReadFrame/"+p.Type().String(), func(t *testing.T) {
-			frame, err := Encode(p)
+			frame, err := AppendFrame(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	frame, err := Encode(&UsageStart{UID: 21, Seq: 7, Sensor: 1, NodeTime: 123456, Hits: 4, Threshold: 150})
+	frame, err := AppendFrame(nil, &UsageStart{UID: 21, Seq: 7, Sensor: 1, NodeTime: 123456, Hits: 4, Threshold: 150})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func BenchmarkWritePacket(b *testing.B) {
 }
 
 func BenchmarkReadPacket(b *testing.B) {
-	frame, err := Encode(&Heartbeat{UID: 11, Seq: 99, UptimeMs: 3600000, Battery: 87})
+	frame, err := AppendFrame(nil, &Heartbeat{UID: 11, Seq: 99, UptimeMs: 3600000, Battery: 87})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func hostileSeeds() []struct {
 	Name  string
 	Frame []byte
 } {
-	good, _ := Encode(&Heartbeat{UID: 1, Seq: 1, UptimeMs: 1, Battery: 50})
+	good, _ := AppendFrame(nil, &Heartbeat{UID: 1, Seq: 1, UptimeMs: 1, Battery: 50})
 	truncated := append([]byte(nil), good[:5]...)
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] = 0x00
@@ -111,7 +111,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 	for i, p := range corpusPackets() {
-		frame, err := Encode(p)
+		frame, err := AppendFrame(nil, p)
 		if err != nil {
 			t.Fatalf("encoding corpus packet %d (%v): %v", i, p.Type(), err)
 		}
@@ -133,7 +133,7 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		t.Fatalf("seed corpus missing (run COREDA_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus): %v", err)
 	}
 	valid, hostile := 0, 0
-	recovery, _ := Encode(&Ack{UID: 7, Seq: 7})
+	recovery, _ := AppendFrame(nil, &Ack{UID: 7, Seq: 7})
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(corpusDir, e.Name()))
 		if err != nil {
@@ -147,7 +147,7 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		switch {
 		case strings.HasPrefix(e.Name(), "hostile-"):
 			hostile++
-			if p, err := Decode(frame); err == nil {
+			if p, err := decode(frame); err == nil {
 				t.Errorf("%s: hostile seed decoded to %+v, want rejection", e.Name(), p)
 			}
 			// The stream reader must skip the hostile bytes and still
@@ -174,12 +174,12 @@ func TestSeedCorpusDecodes(t *testing.T) {
 			}
 		default:
 			valid++
-			p, err := Decode(frame)
+			p, err := decode(frame)
 			if err != nil {
 				t.Errorf("%s: seed does not decode: %v", e.Name(), err)
 				continue
 			}
-			re, err := Encode(p)
+			re, err := AppendFrame(nil, p)
 			if err != nil || string(re) != string(frame) {
 				t.Errorf("%s: seed does not round-trip (err=%v)", e.Name(), err)
 			}

@@ -9,7 +9,7 @@ import (
 // panic, and any frame it accepts must re-encode to the same bytes.
 func FuzzDecode(f *testing.F) {
 	for _, p := range samplePackets() {
-		frame, err := Encode(p)
+		frame, err := AppendFrame(nil, p)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -20,12 +20,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{Magic, Version, byte(TypeAck), 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p, err := decode(data)
 		if err != nil {
 			return
 		}
 		// Accepted frames must round-trip bit-exactly.
-		re, err := Encode(p)
+		re, err := AppendFrame(nil, p)
 		if err != nil {
 			t.Fatalf("re-encoding accepted packet: %v", err)
 		}
@@ -38,7 +38,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzReader streams arbitrary bytes through the resynchronizing reader:
 // it must terminate (EOF) without panicking regardless of input.
 func FuzzReader(f *testing.F) {
-	good, _ := Encode(&Heartbeat{UID: 1, Seq: 2, UptimeMs: 3, Battery: 4})
+	good, _ := AppendFrame(nil, &Heartbeat{UID: 1, Seq: 2, UptimeMs: 3, Battery: 4})
 	f.Add(append([]byte{0x00, Magic, 0x13}, good...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))

@@ -654,13 +654,6 @@ func AppendFrame(dst []byte, p Packet) ([]byte, error) {
 	return binary.BigEndian.AppendUint16(dst, crc), nil
 }
 
-// Encode serializes a packet into a freshly allocated complete frame. Hot
-// paths should prefer AppendFrame (or Writer.QueuePacket), which reuse
-// caller buffers instead.
-func Encode(p Packet) ([]byte, error) {
-	return AppendFrame(make([]byte, 0, MaxFrame), p)
-}
-
 // Frame is a reusable decode target: one union holding every packet type,
 // so a per-connection Frame lets the serving path parse traffic without a
 // heap allocation per packet. Kind selects the active member; Packet
@@ -718,7 +711,7 @@ func (f *Frame) Packet() Packet {
 }
 
 // detach returns a heap copy of the active member, independent of the
-// Frame — the compatibility shim under Decode/ReadPacket.
+// Frame — the compatibility shim under ReadPacket.
 func (f *Frame) detach() Packet {
 	switch f.Kind {
 	case TypeUsageStart:
@@ -759,8 +752,8 @@ func (f *Frame) detach() Packet {
 	}
 }
 
-// DecodeInto parses one complete frame produced by Encode/AppendFrame
-// into f, reusing f's storage instead of allocating a packet.
+// DecodeInto parses one complete frame produced by AppendFrame into f,
+// reusing f's storage instead of allocating a packet.
 //
 //coreda:hotpath
 func DecodeInto(f *Frame, frame []byte) error {
@@ -822,17 +815,6 @@ func DecodeInto(f *Frame, frame []byte) error {
 	default:
 		return fmt.Errorf("%w: 0x%02x", ErrUnknownType, byte(t))
 	}
-}
-
-// Decode parses one complete frame produced by Encode, returning a
-// freshly allocated packet. Hot paths should prefer DecodeInto (or
-// Reader.ReadFrame), which parse into a reusable Frame instead.
-func Decode(frame []byte) (Packet, error) {
-	var f Frame
-	if err := DecodeInto(&f, frame); err != nil {
-		return nil, err
-	}
-	return f.detach(), nil
 }
 
 // bufPool recycles frame buffers across Writers, so short-lived

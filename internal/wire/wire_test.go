@@ -26,13 +26,22 @@ func samplePackets() []Packet {
 	}
 }
 
+// decode parses one frame into a fresh Frame and returns its packet.
+func decode(frame []byte) (Packet, error) {
+	var f Frame
+	if err := DecodeInto(&f, frame); err != nil {
+		return nil, err
+	}
+	return f.Packet(), nil
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, p := range samplePackets() {
-		frame, err := Encode(p)
+		frame, err := AppendFrame(nil, p)
 		if err != nil {
 			t.Fatalf("%v: Encode: %v", p.Type(), err)
 		}
-		got, err := Decode(frame)
+		got, err := decode(frame)
 		if err != nil {
 			t.Fatalf("%v: Decode: %v", p.Type(), err)
 		}
@@ -53,7 +62,7 @@ func TestCRC16KnownVector(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	frame, err := Encode(&Ack{UID: 1, Seq: 2})
+	frame, err := AppendFrame(nil, &Ack{UID: 1, Seq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			f := append([]byte(nil), frame...)
-			_, err := Decode(tt.mutate(f))
+			_, err := decode(tt.mutate(f))
 			if !errors.Is(err, tt.wantErr) {
 				t.Errorf("Decode error = %v, want %v", err, tt.wantErr)
 			}
@@ -94,7 +103,7 @@ func TestDecodeRejectsWrongPayloadLength(t *testing.T) {
 	frame := []byte{Magic, Version, byte(TypeAck), 2, 0xAA, 0xBB}
 	crc := CRC16(frame[1:])
 	frame = append(frame, byte(crc>>8), byte(crc))
-	_, err := Decode(frame)
+	_, err := decode(frame)
 	if !errors.Is(err, ErrBadPayload) {
 		t.Errorf("Decode error = %v, want ErrBadPayload", err)
 	}
@@ -118,7 +127,7 @@ func TestDecodeRejectsBadFields(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(tt.frame); !errors.Is(err, ErrBadField) {
+			if _, err := decode(tt.frame); !errors.Is(err, ErrBadField) {
 				t.Errorf("Decode error = %v, want ErrBadField", err)
 			}
 		})
@@ -141,7 +150,7 @@ func TestHelloVersioning(t *testing.T) {
 	// A v2 hello with fields appended after the household must still
 	// parse on this v1 implementation — that is the forward half of the
 	// handshake's compatibility contract.
-	p, err := Decode(hello(2, "home-7", 0xAA, 0xBB))
+	p, err := decode(hello(2, "home-7", 0xAA, 0xBB))
 	if err != nil {
 		t.Fatalf("v2 hello with trailing fields: %v", err)
 	}
@@ -152,19 +161,19 @@ func TestHelloVersioning(t *testing.T) {
 
 	// A v1 hello must end exactly after the household: trailing bytes in
 	// a frame claiming v1 are corruption, not extension.
-	if _, err := Decode(hello(1, "home-7", 0xAA)); !errors.Is(err, ErrBadPayload) {
+	if _, err := decode(hello(1, "home-7", 0xAA)); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("v1 hello with trailing bytes: %v, want ErrBadPayload", err)
 	}
 	// Hello version 0 does not exist.
-	if _, err := Decode(hello(0, "home-7")); !errors.Is(err, ErrBadField) {
+	if _, err := decode(hello(0, "home-7")); !errors.Is(err, ErrBadField) {
 		t.Errorf("v0 hello: %v, want ErrBadField", err)
 	}
 	// A declared household longer than the payload actually carries.
-	if _, err := Decode(build(byte(TypeHello), []byte{0, 9, 0, 1, 1, 40, 'x'})); !errors.Is(err, ErrBadPayload) {
+	if _, err := decode(build(byte(TypeHello), []byte{0, 9, 0, 1, 1, 40, 'x'})); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("short household: %v, want ErrBadPayload", err)
 	}
 	// Empty household is legal: it means "the default household".
-	if p, err := Decode(hello(1, "")); err != nil {
+	if p, err := decode(hello(1, "")); err != nil {
 		t.Errorf("empty household: %v", err)
 	} else if p.(*Hello).Household != "" {
 		t.Errorf("empty household decoded to %+v", p)
@@ -172,14 +181,14 @@ func TestHelloVersioning(t *testing.T) {
 	// Longest representable household round-trips; anything longer is
 	// rejected at encode time by the payload budget.
 	long := strings.Repeat("h", MaxHousehold)
-	frame, err := Encode(&Hello{UID: 1, Seq: 1, HelloVersion: 1, Household: long})
+	frame, err := AppendFrame(nil, &Hello{UID: 1, Seq: 1, HelloVersion: 1, Household: long})
 	if err != nil {
 		t.Fatalf("max household: %v", err)
 	}
-	if p, err := Decode(frame); err != nil || p.(*Hello).Household != long {
+	if p, err := decode(frame); err != nil || p.(*Hello).Household != long {
 		t.Errorf("max household round-trip: %v, %+v", err, p)
 	}
-	if _, err := Encode(&Hello{UID: 1, Seq: 1, HelloVersion: 1, Household: long + "h"}); !errors.Is(err, ErrOversized) {
+	if _, err := AppendFrame(nil, &Hello{UID: 1, Seq: 1, HelloVersion: 1, Household: long + "h"}); !errors.Is(err, ErrOversized) {
 		t.Errorf("oversized household: %v, want ErrOversized", err)
 	}
 }
@@ -202,7 +211,7 @@ func TestPeerHelloVersioning(t *testing.T) {
 
 	// Forward compatibility: a v2 peer hello with appended fields parses
 	// on this v1 implementation.
-	p, err := Decode(peerHello(2, "a:1", "a:2", 0xAA, 0xBB))
+	p, err := decode(peerHello(2, "a:1", "a:2", 0xAA, 0xBB))
 	if err != nil {
 		t.Fatalf("v2 peer hello with trailing fields: %v", err)
 	}
@@ -211,24 +220,24 @@ func TestPeerHelloVersioning(t *testing.T) {
 		t.Errorf("v2 peer hello decoded to %+v", p)
 	}
 	// A v1 peer hello must end exactly after the node address.
-	if _, err := Decode(peerHello(1, "a:1", "a:2", 0xAA)); !errors.Is(err, ErrBadPayload) {
+	if _, err := decode(peerHello(1, "a:1", "a:2", 0xAA)); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("v1 peer hello with trailing bytes: %v, want ErrBadPayload", err)
 	}
 	// Version 0 does not exist.
-	if _, err := Decode(peerHello(0, "a:1", "a:2")); !errors.Is(err, ErrBadField) {
+	if _, err := decode(peerHello(0, "a:1", "a:2")); !errors.Is(err, ErrBadField) {
 		t.Errorf("v0 peer hello: %v, want ErrBadField", err)
 	}
 	// A declared address longer than the payload carries.
-	if _, err := Decode(buildRaw(byte(TypePeerHello), []byte{1, 0, 0, 0, 1, 20, 'x'})); !errors.Is(err, ErrBadPayload) {
+	if _, err := decode(buildRaw(byte(TypePeerHello), []byte{1, 0, 0, 0, 1, 20, 'x'})); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("short peer addr: %v, want ErrBadPayload", err)
 	}
 	// Two max-length addresses fit the payload budget.
 	long := strings.Repeat("a", MaxAddr)
-	frame, err := Encode(&PeerHello{PeerVersion: 1, PeerAddr: long, NodeAddr: long})
+	frame, err := AppendFrame(nil, &PeerHello{PeerVersion: 1, PeerAddr: long, NodeAddr: long})
 	if err != nil {
 		t.Fatalf("max peer hello: %v", err)
 	}
-	if p, err := Decode(frame); err != nil || p.(*PeerHello).NodeAddr != long {
+	if p, err := decode(frame); err != nil || p.(*PeerHello).NodeAddr != long {
 		t.Errorf("max peer hello round-trip: %v, %+v", err, p)
 	}
 }
@@ -253,7 +262,7 @@ func TestPeerPacketFieldValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(tt.frame); !errors.Is(err, tt.want) {
+			if _, err := decode(tt.frame); !errors.Is(err, tt.want) {
 				t.Errorf("Decode error = %v, want %v", err, tt.want)
 			}
 		})
@@ -317,7 +326,7 @@ func TestReaderResynchronizesAfterGarbage(t *testing.T) {
 func TestReaderSkipsCorruptFrameThenRecovers(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	first, _ := Encode(&Ack{UID: 1, Seq: 1})
+	first, _ := AppendFrame(nil, &Ack{UID: 1, Seq: 1})
 	first[5] ^= 0xFF // corrupt payload -> CRC failure
 	buf.Write(first)
 	want := &Ack{UID: 2, Seq: 2}
@@ -338,11 +347,11 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	// Property: any UsageStart round-trips bit-exactly.
 	f := func(uid, seq uint16, sensor uint8, nodeTime uint32, hits uint8, threshold uint16) bool {
 		in := &UsageStart{UID: uid, Seq: seq, Sensor: sensor, NodeTime: nodeTime, Hits: hits, Threshold: threshold}
-		frame, err := Encode(in)
+		frame, err := AppendFrame(nil, in)
 		if err != nil {
 			return false
 		}
-		out, err := Decode(frame)
+		out, err := decode(frame)
 		if err != nil {
 			return false
 		}
@@ -356,7 +365,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 	// Property: Decode returns an error (never panics) on arbitrary input.
 	f := func(b []byte) bool {
-		p, err := Decode(b)
+		p, err := decode(b)
 		return p != nil || err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -381,7 +390,7 @@ func TestTypeAndColorStrings(t *testing.T) {
 
 func TestEncodedFrameLayout(t *testing.T) {
 	p := &Ack{UID: 0x1234, Seq: 0x5678}
-	frame, err := Encode(p)
+	frame, err := AppendFrame(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}

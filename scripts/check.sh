@@ -42,18 +42,19 @@ echo "== alloc budgets (no race)"
 go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
 go run ./cmd/coreda-vet -only hotalloc ./...
 
-# Advance parity gate: the due-time tenant index must be observationally
-# equivalent to the pre-index full sweep — identical digests at 1/4/8
-# shards (TestAdvanceParity) and identical late-event clamping via the
-# lazy tick floor (TestLateEventAfterTickParity). The differential tests
-# pin the scheduler against a naive reference implementation, and
-# sim.RNG's ported source against math/rand's own seeded source (every
-# draw method, edge and random seeds, the multiply-and-fold seeding step
-# against Schrage's, the stream-seed derivation, and every stopping
-# point around the lazy register's window and block boundaries, fresh
-# and reseeded).
-echo "== advance + RNG parity (indexed vs sweep, port vs stdlib, race-enabled)"
-go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|TestDueHeap' ./internal/fleet/
+# Advance golden + RNG parity gate: the due-time tenant index must
+# reproduce the committed digest of a tick-driven workload at 1/4/8
+# shards (TestAdvanceGoldenDigest, recorded when the index and the
+# full sweep it replaced still agreed), and must floor a late event to
+# the tick that preceded it (TestLateEventFlooredToTick). The
+# differential tests pin the scheduler against a naive reference
+# implementation, and sim.RNG's ported source against math/rand's own
+# seeded source (every draw method, edge and random seeds, the
+# multiply-and-fold seeding step against Schrage's, the stream-seed
+# derivation, and every stopping point around the lazy register's
+# window and block boundaries, fresh and reseeded).
+echo "== advance golden + RNG parity (golden digest, tick floor, port vs stdlib, race-enabled)"
+go test -race -count 1 -run 'TestAdvanceGoldenDigest|TestLateEventFlooredToTick|TestDueHeap' ./internal/fleet/
 go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference|TestRNGSourceMatchesStdlib|TestMulMod31MatchesSchrage|TestRNGDerivationUnchanged|TestRNGLazyBoundary' ./internal/sim/
 
 # Stop-race gate: a connection handed to either TCP server after Stop
@@ -68,57 +69,25 @@ go run ./cmd/coreda-bench -workers 4 chaos > /tmp/coreda-soak-w4.txt
 diff /tmp/coreda-soak-w1.txt /tmp/coreda-soak-w4.txt
 rm -f /tmp/coreda-soak-w1.txt /tmp/coreda-soak-w4.txt
 
-# Shard-count parity gate: a race-enabled 1000-household fleet soak must
-# produce byte-identical output (stats + policy digest; stdout
-# deliberately omits the shard count) whether the tenants share one shard
-# event loop or are spread across eight. This is the end-to-end proof
-# that internal/fleet's concurrency never leaks into what a household
-# learns.
-echo "== fleet soak (shards 1 vs 4 vs 8 must match, race-enabled)"
-for n in 1 4 8; do
-    go run -race ./cmd/coreda-bench -households 1000 -fleet-shards "$n" fleet > "/tmp/coreda-fleet-s$n.txt"
-done
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s4.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s8.txt
-
-# Golden digest gate: the runs above agreeing with each other cannot
-# catch a change that drifts every shard count the same way, so the
-# digest itself is pinned (internal/fleet's TestSoakGoldenDigest holds
-# the same value).
-golden=5abb840bf67e8c5688f5f0a21a673a73a666e877bef18e8016ef0cb5d84c7867
-for n in 1 4 8; do
-    if ! grep -q "policy digest  $golden\$" "/tmp/coreda-fleet-s$n.txt"; then
-        echo "fleet soak at $n shards drifted from the golden digest $golden:" >&2
-        cat "/tmp/coreda-fleet-s$n.txt" >&2
+# Fleet golden gate: a race-enabled 1000-household soak must print
+# exactly the committed golden stdout (stats + policy digest; stdout
+# deliberately omits the shard count and job-failure rate) whether the
+# tenants share one shard event loop or are spread across eight, and
+# with chaos failures injected into the control-queue jobs, which the
+# retry budget must absorb. Comparing runs with each other cannot catch
+# a drift shared by every run; a committed golden can.
+# internal/fleet's TestSoakGoldenDigest pins the same digest and counts.
+echo "== fleet soak (golden stdout at shards 1/4/8 and jobfail 0.2, race-enabled)"
+golden=cmd/coreda-bench/testdata/fleet-seed1-h1000.golden
+for run in "-fleet-shards 1" "-fleet-shards 4" "-fleet-shards 8" "-fleet-jobfail 0.2"; do
+    # shellcheck disable=SC2086 # $run is two words on purpose
+    go run -race ./cmd/coreda-bench -households 1000 $run fleet > /tmp/coreda-fleet.txt
+    if ! diff "$golden" /tmp/coreda-fleet.txt; then
+        echo "fleet soak ($run) drifted from $golden" >&2
         exit 1
     fi
 done
-
-# Storage-format parity gate: the same soak with JSON checkpoints must
-# produce the same stdout — including the policy digest, which decodes
-# and canonicalizes blobs precisely so that the on-disk encoding can
-# never change what a household learned.
-echo "== fleet soak (store-format json must match binary, race-enabled)"
-go run -race ./cmd/coreda-bench -households 1000 -store-format json fleet > /tmp/coreda-fleet-json.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-json.txt
-
-# Control-plane parity gate: the same soak with the control queue
-# disabled (-fleet-control inline, the pre-queue code path where each
-# shard writes its evictions and checkpoints in place) must produce
-# byte-identical stdout at every shard count — the proof that moving
-# control work onto the queue's drain boundary changed scheduling, not
-# outcomes. A further run injects failures into the queued jobs: the
-# retry budget must absorb them without touching a digest (stdout
-# deliberately omits control mode, job-failure rate and retry counts).
-echo "== fleet soak (control queue vs inline vs jobfail must match, race-enabled)"
-for n in 1 4 8; do
-    go run -race ./cmd/coreda-bench -households 1000 -fleet-shards "$n" -fleet-control inline fleet > "/tmp/coreda-fleet-inline-s$n.txt"
-    diff "/tmp/coreda-fleet-s$n.txt" "/tmp/coreda-fleet-inline-s$n.txt"
-done
-go run -race ./cmd/coreda-bench -households 1000 -fleet-jobfail 0.2 fleet > /tmp/coreda-fleet-jobfail.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-jobfail.txt
-rm -f /tmp/coreda-fleet-s{1,4,8}.txt /tmp/coreda-fleet-json.txt \
-      /tmp/coreda-fleet-inline-s{1,4,8}.txt /tmp/coreda-fleet-jobfail.txt
+rm -f /tmp/coreda-fleet.txt
 
 # Cluster kill-recovery gate: the same soak split across 3 worker
 # processes — one of which is SIGKILLed mid-run, after applying a round
