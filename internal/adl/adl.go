@@ -175,7 +175,8 @@ func (a *Activity) Validate() error {
 	if len(a.Steps) == 0 {
 		return fmt.Errorf("adl: activity %q has no steps", a.Name)
 	}
-	seen := make(map[ToolID]string, len(a.Steps))
+	// An activity has a handful of steps, so the pairwise duplicate scan
+	// costs less than building a set, and allocates nothing.
 	for i, s := range a.Steps {
 		if s.Tool == NoTool {
 			return fmt.Errorf("adl: activity %q step %d (%q) uses reserved tool ID 0", a.Name, i, s.Name)
@@ -183,10 +184,11 @@ func (a *Activity) Validate() error {
 		if _, ok := a.Tools[s.Tool]; !ok {
 			return fmt.Errorf("adl: activity %q step %d (%q) uses undeclared tool %d", a.Name, i, s.Name, s.Tool)
 		}
-		if prev, dup := seen[s.Tool]; dup {
-			return fmt.Errorf("adl: activity %q steps %q and %q share tool %d; StepIDs must be unique per step", a.Name, prev, s.Name, s.Tool)
+		for _, prev := range a.Steps[:i] {
+			if prev.Tool == s.Tool {
+				return fmt.Errorf("adl: activity %q steps %q and %q share tool %d; StepIDs must be unique per step", a.Name, prev.Name, s.Name, s.Tool)
+			}
 		}
-		seen[s.Tool] = s.Name
 		if s.TypicalDuration <= 0 {
 			return fmt.Errorf("adl: activity %q step %d (%q) has non-positive duration", a.Name, i, s.Name)
 		}
@@ -194,6 +196,21 @@ func (a *Activity) Validate() error {
 			return fmt.Errorf("adl: activity %q step %d (%q) has non-positive intensity", a.Name, i, s.Name)
 		}
 	}
+	// The steps name distinct declared tools, so every tool is used
+	// exactly when there are as many tools as steps — and then none can
+	// be ID 0, which no step may use. Only the key-matches-ID check is
+	// left; it finds the same answer in any iteration order.
+	if len(a.Tools) == len(a.Steps) {
+		keysMatch := true
+		for id, t := range a.Tools {
+			keysMatch = keysMatch && id == t.ID
+		}
+		if keysMatch {
+			return nil
+		}
+	}
+	// Something is wrong with the tool map: report the first fault in
+	// ascending ID order, so the error is the same on every run.
 	for _, id := range SortedToolIDs(a.Tools) {
 		t := a.Tools[id]
 		if id == NoTool {
@@ -202,7 +219,7 @@ func (a *Activity) Validate() error {
 		if id != t.ID {
 			return fmt.Errorf("adl: activity %q tool map key %d != tool ID %d", a.Name, id, t.ID)
 		}
-		if _, used := seen[id]; !used {
+		if _, used := a.StepByTool(id); !used {
 			return fmt.Errorf("adl: activity %q declares unused tool %d (%q)", a.Name, id, t.Name)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"coreda/internal/testutil"
 )
 
 func TestLibraryValidates(t *testing.T) {
@@ -335,5 +337,50 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 		if dac > dab+dbc {
 			t.Fatalf("triangle inequality violated: d(a,c)=%d > %d+%d", dac, dab, dbc)
 		}
+	}
+}
+
+// TestValidateReportsFirstToolFaultInIDOrder pins which error a tool map
+// with several faults yields: the lowest faulty ID's, on every run,
+// whatever order the map iterates in.
+func TestValidateReportsFirstToolFaultInIDOrder(t *testing.T) {
+	a := TeaMaking()
+	a.Tools[NoTool] = Tool{Name: "zero"}
+	a.Tools[77] = Tool{ID: 77, Name: "ghost"}
+	b := TeaMaking()
+	b.Tools[77] = Tool{ID: 77, Name: "ghost"}
+	b.Tools[78] = Tool{ID: 79, Name: "misfiled"}
+	c := TeaMaking()
+	c.Steps[3].Tool = c.Steps[1].Tool
+	for _, tt := range []struct {
+		a    *Activity
+		want string
+	}{
+		{a, `adl: activity "tea-making" declares reserved tool ID 0`},
+		{b, `adl: activity "tea-making" declares unused tool 77 ("ghost")`},
+		{c, `adl: activity "tea-making" steps "Pour hot water into kettle" and "Drink a cup of tea" share tool 22; StepIDs must be unique per step`},
+	} {
+		for run := 0; run < 20; run++ {
+			if err := tt.a.Validate(); err == nil || err.Error() != tt.want {
+				t.Fatalf("Validate() = %v, want %s", err, tt.want)
+			}
+		}
+	}
+}
+
+// TestActivityValidateAllocFree pins that validating a well-formed
+// activity allocates nothing: every tenant admission validates its
+// activity twice (the system and the planner's codec).
+func TestActivityValidateAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	a := TeaMaking()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate: %.1f allocs/op, want 0", n)
 	}
 }

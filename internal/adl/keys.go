@@ -1,6 +1,6 @@
 package adl
 
-import "sort"
+import "slices"
 
 // SortedToolIDs returns the keys of a tool-keyed map in ascending order.
 // Ranging over such a map directly leaks Go's randomized iteration order
@@ -12,7 +12,7 @@ func SortedToolIDs[V any](m map[ToolID]V) []ToolID {
 	for id := range m {
 		ids = append(ids, id) //coreda:vet-ignore toolidmap keys are sorted before return
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -23,6 +23,6 @@ func SortedStepIDs[V any](m map[StepID]V) []StepID {
 	for id := range m {
 		ids = append(ids, id) //coreda:vet-ignore toolidmap keys are sorted before return
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -313,7 +313,7 @@ func TestOnlineSessionLearnsToConvergence(t *testing.T) {
 	routine := a.CanonicalRoutine()
 	sess := NewOnlineSession(p, true)
 	for ep := 0; ep < 200; ep++ {
-		sess.Reset()
+		sess.Reset(true)
 		for _, s := range routine {
 			sess.Observe(s)
 		}
@@ -440,13 +440,13 @@ func TestOnlineSessionLearnsInitialPrompt(t *testing.T) {
 	routine := a.CanonicalRoutine()
 	sess := NewOnlineSession(p, true)
 	for ep := 0; ep < 200; ep++ {
-		sess.Reset()
+		sess.Reset(true)
 		for _, s := range routine {
 			sess.Observe(s)
 		}
 		sess.Complete()
 	}
-	sess.Reset()
+	sess.Reset(true)
 	prompt, ok := sess.Predict()
 	if !ok || adl.StepOf(prompt.Tool) != routine[0] {
 		t.Errorf("session-start prediction = %+v (%v), want first step", prompt, ok)

@@ -33,8 +33,10 @@ type OnlineSession struct {
 	delivered bool
 
 	// held is the previous transition, deferred until we know whether
-	// it completed the activity.
-	held    *heldTransition
+	// it completed the activity; hasHeld marks it pending. Kept by value
+	// so a learning step does not allocate.
+	held    heldTransition
+	hasHeld bool
 	stepSeq []adl.StepID
 }
 
@@ -53,18 +55,21 @@ type heldTransition struct {
 // is deployed ("obviously it is not proper for elderly whose dementia will
 // become worse" to keep adapting — section 3.2).
 func NewOnlineSession(p *Planner, learn bool) *OnlineSession {
-	s := &OnlineSession{p: p, learn: learn}
-	s.Reset()
+	s := &OnlineSession{p: p}
+	s.Reset(learn)
 	return s
 }
 
-// Reset starts a new activity session.
-func (o *OnlineSession) Reset() {
+// Reset starts a new activity session on the same planner, learning or
+// only predicting as learn says (see NewOnlineSession). The session's
+// buffers are kept, so a reused session does not allocate.
+func (o *OnlineSession) Reset(learn bool) {
+	o.learn = learn
 	o.prev = adl.StepIdle
 	o.cur = adl.StepIdle
 	o.haveCur = false
 	o.hasChosen = false
-	o.held = nil
+	o.hasHeld = false
 	o.stepSeq = o.stepSeq[:0]
 	if o.learn {
 		o.p.learner.StartEpisode()
@@ -172,6 +177,8 @@ func (o *OnlineSession) NoteFailedPrompt(p Prompt) {
 // prompt for the *new* state (what the user should do next). ok is false
 // when the step is foreign to the activity or no positive-value
 // prediction exists yet.
+//
+//coreda:hotpath
 func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 	if step == adl.StepIdle {
 		return o.Predict() // idle does not advance the chain
@@ -190,7 +197,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 				a = o.p.policy.Select(o.p.table, s0, o.p.rng)
 			}
 			greedyA, _ := o.p.table.Best(s0)
-			o.held = &heldTransition{
+			o.held = heldTransition{
 				s:         s0,
 				a:         a,
 				greedy:    a == greedyA,
@@ -199,6 +206,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 				s2:        s1,
 				delivered: o.hasChosen && o.delivered,
 			}
+			o.hasHeld = true
 		}
 		o.cur = step
 		o.haveCur = true
@@ -218,7 +226,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 			a = o.p.policy.Select(o.p.table, s, o.p.rng)
 		}
 		greedyA, _ := o.p.table.Best(s)
-		o.held = &heldTransition{
+		o.held = heldTransition{
 			s:         s,
 			a:         a,
 			greedy:    a == greedyA,
@@ -227,6 +235,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 			s2:        s2,
 			delivered: o.hasChosen && o.delivered,
 		}
+		o.hasHeld = true
 	}
 
 	o.prev, o.cur = o.cur, step
@@ -262,12 +271,15 @@ func (o *OnlineSession) selectAction() {
 	o.delivered = false
 }
 
+// flushHeld learns the held transition, terminal or not, and clears it.
+//
+//coreda:hotpath
 func (o *OnlineSession) flushHeld(terminal bool) {
-	if o.held == nil {
+	if !o.hasHeld {
 		return
 	}
-	h := o.held
-	o.held = nil
+	h := &o.held
+	o.hasHeld = false
 	r := o.p.cfg.Rewards.Of(h.prompt, h.next, terminal)
 	o.p.learner.Observe(h.s, h.a, r, h.s2, terminal, h.greedy)
 	o.p.counterfactual(h.s, h.a, h.next, terminal, h.s2, h.delivered)

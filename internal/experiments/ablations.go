@@ -376,7 +376,7 @@ func RunLevelAdaptation(seed int64, workers int) (compliant, noncompliant float6
 		const episodes, window = 400, 100
 		delivered := stats.Counter{}
 		for ep := 0; ep < episodes; ep++ {
-			sess.Reset()
+			sess.Reset(true)
 			for i, step := range routine {
 				// From the second step on the user freezes and must be
 				// prompted. A prompt the user ignores is recorded as

@@ -193,3 +193,77 @@ func TestTenantResidentAllocBudget(t *testing.T) {
 		t.Errorf("resident household holds %.0f B of live heap, budget %d B", perHousehold, budget)
 	}
 }
+
+// TestTenantReadmitAllocBudget caps what re-admitting an evicted
+// household from its checkpoint allocates: building the stack (scheduler,
+// hub, system, planner, sensing, reminding) and restoring the policy
+// through the shard's scratch checkpoint. Every household of a churning
+// fleet pays this each time it wakes from idle eviction. The households
+// share one activity, so the count is the fleet's own, not the cost of
+// building an activity per admission.
+func TestTenantReadmitAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const households = 500
+	soak := SoakConfig{Seed: 7}
+	activity := adl.TeaMaking()
+	f, err := New(Config{
+		Backend: store.NewMemBackend(),
+		Shards:  1,
+		NewSystem: func(household string) (coreda.SystemConfig, error) {
+			return coreda.SystemConfig{
+				Activity: activity,
+				UserName: household,
+				Seed:     SeedFor(soak.Seed, household),
+			}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+
+	// Each household lives one session, then is checkpointed and
+	// evicted, which leaves a blob to restore from.
+	ids := make([]string, households)
+	for i := range ids {
+		ids[i] = SoakHousehold(i)
+		for _, ev := range SoakSessions(soak, ids[i])[0] {
+			if err := f.Deliver(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.EvictNow(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := f.Stats(); st.Resident != 0 || st.Evictions != households {
+		t.Fatalf("before re-admission: %d resident, %d evictions; want 0 and %d", st.Resident, st.Evictions, households)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		if err := f.Deliver(Event{Household: id, Kind: EventAdvance}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Stats() // shard barrier: every admission has happened
+	runtime.ReadMemStats(&after)
+	if st.Recovered != households || st.RecoveryErrors != 0 {
+		t.Fatalf("recovered %d households (%d errors), want %d", st.Recovered, st.RecoveryErrors, households)
+	}
+
+	perAdmit := float64(after.Mallocs-before.Mallocs) / households
+	// Measured at 31.1 when the budget was set, against 58.0 while a
+	// restore still grew a fresh checkpoint's Q slice and validation,
+	// duration tables and key sorts allocated.
+	const budget = 34
+	t.Logf("checkpoint re-admission: %.1f mallocs/household", perAdmit)
+	if perAdmit > budget {
+		t.Errorf("checkpoint re-admission allocates %.1f mallocs/household, budget %d", perAdmit, budget)
+	}
+}

@@ -265,6 +265,9 @@ type shard struct {
 	// the loop goroutine makes itself (handoff evictions, forced
 	// writebacks).
 	saver store.MultiSaver
+	// ckpt is the decode scratch every checkpoint restore on this shard
+	// goes through (see ckptScratch).
+	ckpt *ckptScratch
 	// free is the pool of per-worker savers control-queue jobs borrow,
 	// built on the shard's first write (ensureSavers).
 	free chan *store.MultiSaver
@@ -314,6 +317,7 @@ func New(cfg Config) (*Fleet, error) {
 			tenants: make(map[string]*Tenant),
 			dirty:   make(map[string]*Tenant),
 			known:   make(map[string]bool),
+			ckpt:    newCkptScratch(),
 		}
 		var inject queue.InjectFunc
 		if cfg.JobInject != nil {
@@ -706,7 +710,7 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if cfg.LEDs == nil && s.f.cfg.LEDs != nil {
 		cfg.LEDs = s.f.cfg.LEDs(household)
 	}
-	t, recovered, err := newTenant(household, cfg, s.f.backend, s.known[household])
+	t, recovered, err := newTenant(household, cfg, s.f.backend, s.ckpt, s.known[household])
 	if err != nil {
 		return nil, err
 	}

@@ -70,11 +70,30 @@ const (
 	recoveredError
 )
 
+// ckptScratch is a shard's reusable decode target for checkpoint
+// restores, owned by the shard loop like the tenants it serves. A load
+// decodes into it and copies the values into the tenant's planner, so
+// the Q slice reaches its full size once per shard instead of growing
+// from nil on every admission.
+type ckptScratch struct {
+	c store.Checkpoint
+	// decode is the Backend.Get check that decodes into c, bound once so
+	// a load does not allocate a closure.
+	decode func(data []byte) error
+}
+
+func newCkptScratch() *ckptScratch {
+	sc := &ckptScratch{}
+	sc.decode = func(data []byte) error { return store.DecodeCheckpoint(&sc.c, data) }
+	return sc
+}
+
 // newTenant builds the household stack and restores its checkpoint from
-// the backend if one exists. tryLoad false skips the restore outright —
-// the caller (the shard's known-checkpoint set) already knows no blob
-// exists, so a first-contact admission costs zero storage probes.
-func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, tryLoad bool) (*Tenant, recovery, error) {
+// the backend, decoding through the shard's scratch sc, if one exists.
+// tryLoad false skips the restore outright — the caller (the shard's
+// known-checkpoint set) already knows no blob exists, so a first-contact
+// admission costs zero storage probes.
+func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, sc *ckptScratch, tryLoad bool) (*Tenant, recovery, error) {
 	if cfg.Activity == nil {
 		return nil, 0, fmt.Errorf("fleet: NewSystem config for %q has no activity", id)
 	}
@@ -96,7 +115,7 @@ func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, tryLoad bool
 	if !tryLoad {
 		return t, recoveredFresh, nil
 	}
-	switch err := t.load(b); {
+	switch err := t.load(b, sc); {
 	case err == nil:
 		return t, recoveredCheckpoint, nil
 	case errors.Is(err, store.ErrNoCheckpoint):
@@ -111,14 +130,14 @@ func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, tryLoad bool
 }
 
 // load restores the learned policy and training progress from a
-// checkpoint written by save, decoding straight into the planner's own
-// Q-table — no intermediate table is materialized on the admission
-// path.
-func (t *Tenant) load(b store.Backend) error {
-	var c store.Checkpoint
-	if err := store.LoadCheckpoint(b, t.ID, &c); err != nil {
+// checkpoint written by save. The blob is decoded into the shard's
+// scratch checkpoint sc, whose slices carry over from one load to the
+// next, and its Q values are then copied into the planner's own table.
+func (t *Tenant) load(b store.Backend, sc *ckptScratch) error {
+	if _, err := b.Get(t.ID, sc.decode); err != nil {
 		return err
 	}
+	c := &sc.c
 	if c.Activity != t.activity.Name {
 		return fmt.Errorf("fleet: checkpoint %s is for activity %q, tenant runs %q", t.ID, c.Activity, t.activity.Name)
 	}

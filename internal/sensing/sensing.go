@@ -94,8 +94,8 @@ type Subsystem struct {
 	sched   *sim.Scheduler
 	handler func(StepEvent)
 
-	durations *stats.Durations // usage length per tool
-	gaps      *stats.Durations // arrival gap per tool
+	durations stats.Durations // usage length per tool
+	gaps      stats.Durations // arrival gap per tool
 
 	history     []StepEvent
 	last        adl.StepID
@@ -116,11 +116,9 @@ func New(cfg Config, sched *sim.Scheduler, handler func(StepEvent)) (*Subsystem,
 		return nil, err
 	}
 	s := &Subsystem{
-		cfg:       cfg,
-		sched:     sched,
-		handler:   handler,
-		durations: stats.NewDurations(),
-		gaps:      stats.NewDurations(),
+		cfg:     cfg,
+		sched:   sched,
+		handler: handler,
 	}
 	s.idleFire = func() {
 		if !s.running {
@@ -176,7 +174,7 @@ func (s *Subsystem) Sequence() []adl.StepID {
 }
 
 // Durations exposes the per-tool usage-length statistics.
-func (s *Subsystem) Durations() *stats.Durations { return s.durations }
+func (s *Subsystem) Durations() *stats.Durations { return &s.durations }
 
 // IdleTimeout returns the currently applicable idle timeout.
 func (s *Subsystem) IdleTimeout() time.Duration {

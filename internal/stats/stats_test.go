@@ -323,3 +323,25 @@ func TestDurationsConcurrent(t *testing.T) {
 		t.Errorf("total observations = %d, want 8000", total)
 	}
 }
+
+func TestDurationsKeysAscending(t *testing.T) {
+	var d Durations
+	for _, k := range []uint32{42, 7, 300, 1, 7, 99, 0, 42} {
+		d.Observe(k, time.Second)
+	}
+	want := []uint32{0, 1, 7, 42, 99, 300}
+	for run := 0; run < 3; run++ { // map iteration order would vary between calls
+		got := d.Keys()
+		if len(got) != len(want) {
+			t.Fatalf("Keys = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Keys = %v, want %v", got, want)
+			}
+		}
+	}
+	if d.N(7) != 2 || d.N(42) != 2 || d.N(300) != 1 || d.N(5) != 0 {
+		t.Errorf("N(7, 42, 300, 5) = %d, %d, %d, %d, want 2, 2, 1, 0", d.N(7), d.N(42), d.N(300), d.N(5))
+	}
+}

@@ -126,20 +126,101 @@ func TestMemBackendOverlappingStreams(t *testing.T) {
 		t.Fatalf("backup generation = %q, %v; want first", got, err)
 	}
 
-	// A write after Abort is discarded with the writer: Commit still
-	// fails and the published generations are untouched.
+	// A write after Abort is refused: Commit still fails and the
+	// published generations are untouched.
 	w3, err := b.PutStream("h", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w3.Abort()
-	if _, err := w3.Write([]byte("zombie")); err != nil {
-		t.Fatal(err)
+	if _, err := w3.Write([]byte("zombie")); err == nil {
+		t.Fatal("Write after Abort succeeded")
 	}
 	if err := w3.Commit(); err == nil {
 		t.Fatal("Commit after Abort succeeded")
 	}
 	if got, err := b.Get("h", nil); err != nil || string(got) != "second" {
 		t.Fatalf("Get after zombie writer = %q, %v; want second", got, err)
+	}
+}
+
+// TestBlobWriterRefusesWriteAfterFinish pins that a finished writer —
+// committed or aborted — takes no more bytes on either backend, and that
+// the refused bytes never reach the published blob.
+func TestBlobWriterRefusesWriteAfterFinish(t *testing.T) {
+	t.Parallel()
+	backends := map[string]func(t *testing.T) Backend{
+		"dir": func(t *testing.T) Backend {
+			b, err := NewDirBackend(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+		"mem": func(t *testing.T) Backend { return NewMemBackend() },
+	}
+	for name, mk := range backends {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			b := mk(t)
+			for _, finish := range []string{"commit", "abort"} {
+				w, err := b.PutStream("h", false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Write([]byte("blob-" + finish)); err != nil {
+					t.Fatal(err)
+				}
+				if finish == "commit" {
+					if err := w.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					w.Abort()
+				}
+				if n, err := w.Write([]byte("-late")); err == nil || n != 0 {
+					t.Fatalf("Write after %s = %d, %v; want 0 and an error", finish, n, err)
+				}
+				if got, err := b.Get("h", nil); err != nil || string(got) != "blob-commit" {
+					t.Fatalf("Get after late write past %s = %q, %v; want blob-commit", finish, got, err)
+				}
+			}
+		})
+	}
+}
+
+// TestMemBackendCommitPublishesBuffer pins the copy discipline of the
+// in-memory backend: a committed stream publishes the writer's own
+// buffer, which no caller can reach, without copying it again; Put, whose
+// argument the caller keeps, publishes a copy.
+func TestMemBackendCommitPublishesBuffer(t *testing.T) {
+	t.Parallel()
+	b := NewMemBackend()
+	w, err := b.PutStream("h", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("streamed")); err != nil {
+		t.Fatal(err)
+	}
+	buf := w.(*memBlobWriter).buf
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Get("h", nil)
+	if err != nil || string(got) != "streamed" {
+		t.Fatalf("Get = %q, %v; want streamed", got, err)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("Commit copied the stream buffer instead of publishing it")
+	}
+
+	data := []byte("put")
+	if err := b.Put("h", data, false); err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'X'
+	if got, err := b.Get("h", nil); err != nil || string(got) != "put" {
+		t.Fatalf("Get after mutating Put's argument = %q, %v; want put", got, err)
 	}
 }

@@ -60,22 +60,29 @@ func (m *MemBackend) Get(name string, check func(data []byte) error) ([]byte, er
 
 func (m *MemBackend) Put(name string, data []byte, fsync bool) error {
 	_ = fsync // memory has no stable storage to flush to
-	cp := bytes.Clone(data)
+	m.install(name, bytes.Clone(data))
+	return nil
+}
+
+// install publishes data as the newest generation of name, rotating the
+// current one to the backup slot. The backend keeps data itself: the
+// caller must not touch it afterwards.
+func (m *MemBackend) install(name string, data []byte) {
 	m.mu.Lock()
 	if old, ok := m.cur[name]; ok {
 		m.prev[name] = old
 	}
-	m.cur[name] = cp
+	m.cur[name] = data
 	m.mu.Unlock()
-	return nil
 }
 
 func (m *MemBackend) PutStream(name string, fsync bool) (BlobWriter, error) {
 	return &memBlobWriter{m: m, name: name, fsync: fsync}, nil
 }
 
-// memBlobWriter buffers the stream and publishes it as one Put on
-// Commit — the same all-or-nothing visibility the file rename gives.
+// memBlobWriter buffers the stream and publishes it on Commit — the same
+// all-or-nothing visibility the file rename gives. Like a file writer,
+// it refuses writes once committed or aborted.
 type memBlobWriter struct {
 	m     *MemBackend
 	name  string
@@ -85,6 +92,9 @@ type memBlobWriter struct {
 }
 
 func (w *memBlobWriter) Write(p []byte) (int, error) {
+	if w.done {
+		return 0, fmt.Errorf("store: blob %s: write after Commit or Abort", w.name)
+	}
 	w.buf = append(w.buf, p...)
 	return len(p), nil
 }
@@ -94,7 +104,11 @@ func (w *memBlobWriter) Commit() error {
 		return fmt.Errorf("store: blob %s already committed", w.name)
 	}
 	w.done = true
-	return w.m.Put(w.name, w.buf, w.fsync)
+	// No Write can reach the buffer any more, so it is published as it
+	// is instead of being copied a second time.
+	w.m.install(w.name, w.buf)
+	w.buf = nil
+	return nil
 }
 
 func (w *memBlobWriter) Abort() {

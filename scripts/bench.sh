@@ -76,9 +76,10 @@ $simraw"
 write_bench "$out" 'Parallel speedup is bounded by the cpus figure above: on a single-CPU host workers=4 measures pool overhead rather than speedup. Experiment output is byte-identical at every worker count.' "$raw"
 
 # Wire codec: the zero-allocation serving fast paths (append-based
-# encode, union decode, pooled writer, resyncing reader).
+# encode, union decode, pooled writer, resyncing reader) and the frame
+# checksum they all pay (CRC16 over the largest frame).
 wout=BENCH_wire.json
-wpattern='BenchmarkEncode|BenchmarkDecode|BenchmarkWritePacket|BenchmarkReadPacket'
+wpattern='BenchmarkEncode|BenchmarkDecode|BenchmarkWritePacket|BenchmarkReadPacket|BenchmarkCRC16'
 wraw=$(go test -run '^$' -bench "$wpattern" -benchmem -count 1 ./internal/wire/)
 echo "$wraw"
 

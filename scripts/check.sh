@@ -33,13 +33,17 @@ go test -race ./...
 # enforced by an explicit no-race pass over the serving packages:
 # the wire codec, the timer core, the shard ingest + clock-pump loops,
 # the node client's report path, and the CKPT checkpoint codec — plus
-# the lazy RNG register (TestRNGLazyAlloc) and the live heap a resident
-# household holds (TestTenantResidentAllocBudget). The
+# the lazy RNG register (TestRNGLazyAlloc), the live heap a resident
+# household holds (TestTenantResidentAllocBudget), what a checkpoint
+# re-admission allocates (TestTenantReadmitAllocBudget), the learn-mode
+# session step (TestOnlineSessionStepAlloc) and the per-tool usage
+# statistics (TestDurationsObserveAlloc), and activity validation
+# (TestActivityValidateAllocFree). The
 # hotalloc analyzer rides in the same phase — it names the escaping
 # expression when a //coreda:hotpath function regresses, which an
 # AllocsPerRun count never does.
 echo "== alloc budgets (no race)"
-go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
+go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/ ./internal/core/ ./internal/stats/ ./internal/adl/
 go run ./cmd/coreda-vet -only hotalloc ./...
 
 # Advance golden + RNG parity gate: the due-time tenant index must

@@ -304,7 +304,13 @@ func (s *System) StartSession(mode Mode) {
 	s.hasExpected = false
 	s.outstanding = false
 	learn := mode == ModeLearn || s.cfg.KeepLearning
-	s.session = core.NewOnlineSession(s.planner, learn)
+	// One session object serves every session of the system's life;
+	// Reset starts it afresh without reallocating its buffers.
+	if s.session == nil {
+		s.session = core.NewOnlineSession(s.planner, learn)
+	} else {
+		s.session.Reset(learn)
+	}
 	s.sensing.Start()
 	if s.cfg.OnSessionStart != nil {
 		s.cfg.OnSessionStart(mode)
